@@ -13,11 +13,13 @@ representative ``(d, l)`` shapes and writes the numbers to
 - ``tree_merge_*`` — latency of a 16-way binary tree merge.
 - ``ingest_*_d16384_l64`` — the end-to-end ingest hot path on the
   representative LCLS shape (float32 ``256 x 256`` frames cropped to
-  ``128 x 128``, guard on): the staged chain (screen -> preprocess ->
-  partial_fit, one full-frame copy per stage) vs the fused single-sweep
-  engine (``repro.pipeline.ingest``), exact float64 tier and float32
-  frame-math tier.  The tentpole gate is the fused float32 tier's
-  >= 2x rows/sec over staged, measured in the same run.
+  ``128 x 128``, guard on): the staged chain kept as the test oracle
+  (``tests/staged_oracle.py``: screen -> whole-stack preprocess ->
+  partial_fit, one full-frame copy per stage) vs the fused sweep
+  (``repro.pipeline.ingest``) fed the guard's certificates the way
+  ``MonitoringPipeline.consume`` feeds it, exact float64 tier and
+  float32 frame-math tier.  The gate is the fused float32 tier's >= 2x
+  rows/sec over staged, measured in the same run.
 
 ``test_regression_vs_baseline`` gates a fresh run against the committed
 JSON through the shared comparator (``benchmarks/_gate.py``: >25%
@@ -32,6 +34,7 @@ gate is a generous 25%.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +53,13 @@ from repro.pipeline.ingest import FusedIngest
 from repro.pipeline.preprocess import Preprocessor
 
 BASELINE_PATH = Path(__file__).parent / "BENCH_core.json"
+TESTS = Path(__file__).resolve().parent.parent / "tests"
+
+sys.path.insert(0, str(TESTS))
+try:
+    from staged_oracle import staged_apply_flat
+finally:
+    sys.path.remove(str(TESTS))
 
 # Read the committed baseline BEFORE any test can rewrite it.
 _BASELINE = load_baseline(BASELINE_PATH)
@@ -96,9 +106,9 @@ def _measure_stream(make_sketcher, rows: int, d: int) -> dict:
 def _measure_ingest(mode: str, rows: int = 1024) -> dict:
     """End-to-end ingest on the LCLS shape: guard + preprocess + sketch.
 
-    ``staged`` is the seed chain (one full-frame copy per stage);
-    ``fused`` / ``fused_fast`` run the single-sweep engine on the
-    float64 (bit-identical) / float32 (frame math) tier.
+    ``staged`` is the oracle chain (one full-frame copy per stage);
+    ``fused`` / ``fused_fast`` run the fused sweep on the float64
+    (bit-identical) / float32 (frame math) tier.
     """
     rng = np.random.default_rng(7)
     frames = rng.gamma(2.0, 1.0, size=(rows, 256, 256)).astype(np.float32)
@@ -108,14 +118,16 @@ def _measure_ingest(mode: str, rows: int = 1024) -> dict:
     def run():
         guard = FrameGuard(GuardConfig(), registry=NullRegistry())
         sk = ARAMS(d=128 * 128, config=ARAMSConfig(ell=64, precision=precision))
+        batch = guard.screen(frames)
         if mode == "staged":
-            batch = guard.screen(frames)
-            sk.partial_fit(pre.apply_flat(batch.accepted))
+            sk.partial_fit(staged_apply_flat(pre, batch.accepted))
         else:
-            eng = FusedIngest(
-                sk, pre, guard=guard, registry=NullRegistry(), precision=precision
+            FusedIngest(sk, pre, registry=NullRegistry()).sweep(
+                batch.accepted,
+                certified_finite=guard.config.max_nonfinite_fraction == 0.0,
+                nonneg=batch.accepted_nonneg,
+                norms=batch.accepted_norms,
             )
-            eng.ingest(frames)
 
     run()  # warm up
     return {"rows_per_sec": rows / _best_of(run)}
@@ -201,7 +213,7 @@ def test_fused_ingest_speedup(core_numbers, table):
         "ingest hot path, 1024 float32 256x256 frames -> crop 128x128, ell=64",
         ["path", "rows/sec"],
         [
-            ["staged (seed chain)", staged],
+            ["staged (oracle chain)", staged],
             ["fused float64 (bit-identical)", fused],
             ["fused float32 frame math", fast],
         ],

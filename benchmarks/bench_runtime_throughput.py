@@ -9,8 +9,9 @@ frames/core — matches the paper's 120k/64 ≈ 1.9k; our frames are 512x
 smaller than 2 Mpx, which is documented in EXPERIMENTS.md).  Two
 measurements:
 
-1. ingest throughput (preprocess + ARAMS sketch) in Hz, single-stream
-   and sharded across 64 simulated ranks (virtual makespan);
+1. ingest throughput (preprocess + ARAMS sketch) in Hz of wall-clock
+   time, single-stream and sharded across 64 simulated ranks (the
+   runner's virtual makespan is not part of it);
 2. wall time of the analysis stage (PCA + UMAP + OPTICS), which the
    paper requires to finish in under a minute.
 """

@@ -138,18 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: select on accuracy alone)",
     )
     mon.add_argument(
-        "--ingest", choices=["staged", "fused"], default="staged",
-        help="ingest hot path: 'staged' runs guard/preprocess/sketch as "
-             "separate whole-stack passes, 'fused' runs the single-sweep "
-             "engine that reuses guard certificates and writes each "
-             "frame once (see docs/performance.md)",
-    )
-    mon.add_argument(
         "--precision", choices=["float64", "float32"], default="float64",
-        help="fused-sweep frame-math tier: float64 is bit-identical to "
-             "staged ingest, float32 halves frame-math memory traffic "
-             "(sketch accumulation stays float64; error is far below "
-             "the FD bound)",
+        help="ingest frame-math tier: float64 is exact, float32 halves "
+             "frame-math memory traffic (sketch accumulation stays "
+             "float64; error is far below the FD bound; see "
+             "docs/performance.md)",
     )
     mon.add_argument("--csv", type=str, default=None, help="export embedding CSV")
     mon.add_argument("--html", type=str, default=None,
@@ -551,7 +544,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
             hdbscan={"min_cluster_size": max(15, args.shots // 40)},
             registry=registry,
             guard=(corruptor is not None) or not args.no_guard,
-            ingest=args.ingest,
         )
     already_offered = pipe.n_offered
     skipped = 0
@@ -580,9 +572,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     print(f"sketch         : ell={pipe.sketcher.ell} (started {args.ell}), "
           f"beta={args.beta}, epsilon={args.epsilon}")
     print(f"backend        : {_describe_backend(pipe.sketcher)}")
-    print(f"ingest path    : {pipe.ingest}"
-          + (f" ({pipe.sketch_config.precision} frame math)"
-             if pipe.ingest == "fused" else ""))
+    print(f"ingest path    : fused ({pipe.sketch_config.precision} frame math)")
     print(f"ingest rate    : {pipe.throughput_hz():.1f} Hz")
     print(f"total wall time: {total:.1f}s "
           f"({', '.join(f'{k}={v:.2f}s' for k, v in result.timings.items())})")

@@ -80,14 +80,16 @@ class ARAMSConfig:
         Relative covariance-error target for ``backend="auto"``
         selection; ``None`` selects purely on accuracy.
     precision:
-        Frame-math precision tier for the fused ingest engine (see
-        :mod:`repro.pipeline.ingest`).  ``"float64"`` (default) keeps
-        every preprocessing pass in double precision and is bit-identical
-        to the staged chain; ``"float32"`` runs the per-frame passes in
-        single precision (half the memory traffic) and upcasts once on
-        the final write into the sketch buffer, trading ~1e-7 relative
-        per-pixel error — far below the FD bound ``||A||_F^2 / ell`` —
-        for throughput.  Sketch accumulation itself is always float64.
+        Frame-math precision tier of the fused ingest sweep every
+        :meth:`~repro.pipeline.monitor.MonitoringPipeline.consume` runs
+        (see :mod:`repro.pipeline.ingest`).  ``"float64"`` (default)
+        keeps every preprocessing pass in double precision and yields
+        the rows of ``Preprocessor.apply_flat`` bit for bit;
+        ``"float32"`` runs the per-frame passes in single precision
+        (half the memory traffic) and upcasts once on the final write
+        into the float64 rows, trading ~1e-7 relative per-pixel error —
+        far below the FD bound ``||A||_F^2 / ell`` — for throughput.
+        Sketch accumulation itself is always float64.
     """
 
     ell: int = 50
@@ -270,39 +272,6 @@ class ARAMS:
     def n_seen(self) -> int:
         """Rows offered to ARAMS (before sampling)."""
         return self._n_offered
-
-    def fused_writer(self) -> FrequentDirections | None:
-        """The FD sketcher when zero-copy fused ingestion is admissible.
-
-        The fused ingest engine can write preprocessed frames straight
-        into the sketch buffer (``reserve_rows``/``commit_rows``) only
-        when nothing sits between the stream and the sketcher: priority
-        sampling must be off (``beta == 1``; sampling draws depend on
-        whole-batch energies, so chunked writes would change the RNG
-        stream) and the backend must be an FD-family sketcher exposing
-        the reserve/commit protocol.  Returns ``None`` otherwise — the
-        engine then falls back to materializing rows and calling
-        :meth:`partial_fit` once per batch, which is still fused
-        preprocessing, just not zero-copy.
-        """
-        if self.config.beta < 1.0:
-            return None
-        if not isinstance(self._fd, FrequentDirections):
-            return None
-        return self._fd
-
-    def record_fused_batch(self, offered: int, kept: int) -> None:
-        """Account for a batch the fused engine wrote around the sampler.
-
-        Keeps :attr:`n_seen` and the ``on_batch`` observer stream
-        identical to what :meth:`partial_fit` would have produced for
-        the same batch, so health dashboards and checkpoints cannot tell
-        the ingest paths apart.
-        """
-        self._n_offered += int(offered)
-        obs = self._observer
-        if obs is not None:
-            obs.on_batch(self, offered=int(offered), kept=int(kept))
 
     def partial_fit(
         self, batch: np.ndarray, *, check_finite: bool = True

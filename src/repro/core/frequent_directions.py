@@ -199,9 +199,8 @@ class FrequentDirections(SketchBackend):
             take = min(space, k - i)
             chunk = rows[i : i + take]
             self._buffer[self._next_zero : self._next_zero + take] = chunk
-            # ||A||_F^2 accumulates per insertion slice (not once per
-            # batch) so the zero-copy reserve/commit path — which sees
-            # the stream in exactly these slices — stays bit-identical.
+            # ||A||_F^2 accumulates per insertion slice, not once per
+            # batch; the golden fixtures depend on this summation order.
             self.squared_frobenius += float(np.sum(chunk * chunk))
             self._next_zero += take
             self.n_seen += take
@@ -209,51 +208,6 @@ class FrequentDirections(SketchBackend):
         # A buffer left exactly full is handled lazily: the next insert
         # (or a sketch access) triggers the rotation, matching the
         # paper's Algorithm 2, which checks fullness before each insert.
-        return self
-
-    def reserve_rows(self, max_rows: int) -> np.ndarray:
-        """Writable view of the next free buffer rows (zero-copy insert).
-
-        Rotates first if the buffer is exactly full, then returns a
-        ``(take, d)`` float64 view of the next ``take = min(space,
-        max_rows)`` rows.  The fused ingest engine writes preprocessed
-        frames straight into this view — the single copy of the whole
-        ingest path — and then calls :meth:`commit_rows`.
-
-        The view is only valid until the next mutation (commit, rotate,
-        merge, load_state); a caller must fill and commit it before
-        touching the sketcher again.
-        """
-        if max_rows < 1:
-            raise ValueError(f"max_rows must be >= 1, got {max_rows}")
-        if self._buffer.shape[0] - self._next_zero == 0:
-            self._on_buffer_full()
-        space = self._buffer.shape[0] - self._next_zero
-        take = min(space, int(max_rows))
-        return self._buffer[self._next_zero : self._next_zero + take]
-
-    def commit_rows(self, k: int) -> "FrequentDirections":
-        """Declare the first ``k`` rows of the last reserved view filled.
-
-        Advances the buffer cursor and accumulates ``||A||_F^2`` over
-        exactly the committed slice, matching :meth:`partial_fit`'s
-        per-slice accumulation bit for bit.  Rows are assumed finite —
-        reserve/commit callers hold a guard certificate by construction.
-        """
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        if k == 0:
-            return self
-        if k > self._buffer.shape[0] - self._next_zero:
-            raise ValueError(
-                f"cannot commit {k} rows; only "
-                f"{self._buffer.shape[0] - self._next_zero} were reservable"
-            )
-        chunk = self._buffer[self._next_zero : self._next_zero + k]
-        self.squared_frobenius += float(np.sum(chunk * chunk))
-        self._final_cache = None
-        self._next_zero += k
-        self.n_seen += k
         return self
 
     def fit(self, a: np.ndarray) -> "FrequentDirections":

@@ -1,15 +1,17 @@
 """End-to-end LCLS image-monitoring pipeline (paper Fig. 4).
 
-Stages: preprocess (threshold → normalize → center → crop) → ARAMS
-matrix sketch (optionally across simulated ranks with tree merge) →
-PCA projection into latent space → UMAP to 2-D → OPTICS clustering and
-ABOD outlier flagging → operator-facing summary.
+Stages: preprocess (repair → crop → threshold → center → normalize) →
+ARAMS matrix sketch (optionally across simulated ranks with tree merge)
+→ PCA projection into latent space → UMAP to 2-D → OPTICS clustering
+and ABOD outlier flagging → operator-facing summary.
 
-- :mod:`repro.pipeline.preprocess` — the paper's image-processing steps.
+- :mod:`repro.pipeline.preprocess` — the paper's image-processing steps
+  as one chunked kernel; every path that turns frames into rows runs it.
 - :mod:`repro.pipeline.guard` — FrameGuard screening/quarantine in front
   of the sketch (see ``docs/data_robustness.md``).
-- :mod:`repro.pipeline.ingest` — :class:`FusedIngest`, the single-pass
-  guard → preprocess → sketch hot path (see ``docs/performance.md``).
+- :mod:`repro.pipeline.ingest` — :class:`FusedIngest`, the one ingest
+  path: guard certificates → preprocess kernel → sketch in a single
+  sweep (see ``docs/performance.md``).
 - :mod:`repro.pipeline.supervisor` — fail-soft stage supervision for the
   analysis stages (:class:`DegradedResult` instead of raising).
 - :mod:`repro.pipeline.monitor` — :class:`MonitoringPipeline`, the
@@ -20,13 +22,7 @@ ABOD outlier flagging → operator-facing summary.
   maps and CSV export (standing in for the Bokeh HTML output).
 """
 
-from repro.pipeline.preprocess import (
-    Preprocessor,
-    threshold_intensity,
-    normalize_intensity,
-    center_images,
-    crop_images,
-)
+from repro.pipeline.preprocess import Preprocessor
 from repro.pipeline.guard import (
     FrameGuard,
     GuardConfig,
@@ -35,7 +31,7 @@ from repro.pipeline.guard import (
     QuarantinedFrame,
     RejectReason,
 )
-from repro.pipeline.ingest import FusedIngest, IngestResult
+from repro.pipeline.ingest import FusedIngest
 from repro.pipeline.supervisor import DegradedResult, StageFailure, StageSupervisor
 from repro.pipeline.monitor import MonitoringPipeline, MonitoringResult
 from repro.pipeline.checkpoint import (
@@ -55,10 +51,6 @@ from repro.pipeline.results import (
 
 __all__ = [
     "Preprocessor",
-    "threshold_intensity",
-    "normalize_intensity",
-    "center_images",
-    "crop_images",
     "FrameGuard",
     "GuardConfig",
     "GuardBatch",
@@ -66,7 +58,6 @@ __all__ = [
     "QuarantinedFrame",
     "RejectReason",
     "FusedIngest",
-    "IngestResult",
     "DegradedResult",
     "StageFailure",
     "StageSupervisor",

@@ -143,7 +143,6 @@ def _pipeline_state(pipe: MonitoringPipeline) -> dict:
         "retain": pipe.retain,
         "seed": pipe.seed,
         "guard": pipe.guard.config.to_dict() if pipe.guard is not None else None,
-        "ingest": pipe.ingest,
     }
     if config["preprocessor"]["crop"] is not None:
         config["preprocessor"]["crop"] = list(config["preprocessor"]["crop"])
@@ -371,6 +370,8 @@ def _load_generation(gen_dir: Path, registry: Registry | None) -> MonitoringPipe
     if sketch_cfg.get("max_ell") is not None:
         sketch_cfg["max_ell"] = int(sketch_cfg["max_ell"])
     guard_cfg = config.get("guard")
+    # Older generations carry an "ingest" key naming a path that no
+    # longer exists; every path produced the same rows, so it is ignored.
     pipe = MonitoringPipeline(
         image_shape=tuple(config["image_shape"]),
         preprocessor=Preprocessor(**pre_cfg),
@@ -386,8 +387,6 @@ def _load_generation(gen_dir: Path, registry: Registry | None) -> MonitoringPipe
         registry=registry if registry is not None else Registry(),
         seed=config["seed"],
         guard=GuardConfig.from_dict(guard_cfg) if guard_cfg is not None else None,
-        # Checkpoints written before the fused path carried no ingest key.
-        ingest=config.get("ingest", "staged"),
     )
 
     # Rebuild the sketcher around the persisted FD state, then restore

@@ -1,85 +1,56 @@
-"""Fused single-pass ingest: guard → preprocess → sketch in one sweep.
+"""Fused single-pass ingest: guard certificates → preprocess → sketch.
 
-The staged ingest path makes three-plus full passes over every frame
-stack: the guard screens it, each preprocessing step copies the whole
-stack (``repair → crop → threshold → center → normalize``), and the
-sketcher finally copies the rows into its buffer.  For the paper's
-online deployment target that memory traffic — not FLOPs — dominates the
-per-frame cost.
+:class:`FusedIngest` is how the monitoring pipeline sketches frames.  A
+guard-screened stack goes through the preprocessing kernel
+(:meth:`~repro.pipeline.preprocess.Preprocessor.rows_into`) chunk by
+chunk into a reusable float64 row arena, each processed frame written
+exactly once, and the arena reaches the sketcher in one ``partial_fit``
+per batch, so the priority sampler draws on whole-batch boundaries.
 
-:class:`FusedIngest` collapses the chain into one cache-friendly sweep
-per frame stack:
-
-- the guard screens the batch once, and its certificate by-products
-  travel with the batch: the finiteness certificate lets the sketcher
-  skip its own NaN scan, the ``min >= 0`` certificate lets centering
-  skip the negative-pixel clip, and on the float32 tier the guard's
-  squared-norm reduction directly feeds ``normalize(mode="l2")``
-  without a second reduction;
-- preprocessing runs chunk-by-chunk, where a chunk is sized to the
-  sketcher's own insertion slices, and the centering gather writes each
-  processed frame **exactly once** — straight into the sketch buffer
-  view handed out by :meth:`FrequentDirections.reserve_rows` (the
-  zero-copy path), or into a reusable arena when rows must also be
-  retained or priority sampling is on;
-- the sketch consumes the rows in place via
-  :meth:`FrequentDirections.commit_rows` (zero-copy) or one
-  ``partial_fit`` per batch (arena), never re-validating what the guard
-  already certified.
+The guard's certificate by-products travel with the batch: the
+finiteness certificate lets the kernel skip the NaN repair pass and the
+sketcher skip its own finiteness scan, the ``min >= 0`` certificate lets
+centering skip the negative-pixel clip, and on the float32 tier the
+guard's squared-norm reduction feeds ``normalize="l2"`` directly.
 
 Two precision tiers, selected by ``ARAMSConfig.precision``:
 
 ``"float64"`` (default)
-    Every pass runs in double precision.  The resulting sketch state is
-    **bit-identical** to the staged chain (guard → ``Preprocessor.apply_flat``
-    → ``partial_fit``) with the same batch boundaries — locked by the
-    hypothesis suite in ``tests/test_ingest_fused.py``.
+    Every pass runs in double precision.  The rows are bit-identical to
+    :meth:`~repro.pipeline.preprocess.Preprocessor.apply_flat` and to
+    the staged whole-stack chain kept as the oracle in
+    ``tests/staged_oracle.py`` — locked by the hypothesis suite in
+    ``tests/test_ingest_fused.py``.
 
 ``"float32"``
     Frame math (repair/threshold/centroids) runs in single precision —
     half the memory traffic — and each frame is upcast exactly once as
-    the centering gather writes it into the float64 sketch buffer.
-    Sketch accumulation itself stays float64.  The ~1e-7 relative
-    per-pixel error is orders of magnitude below the FD guarantee
+    the centering gather writes it into the float64 row arena.  Sketch
+    accumulation itself stays float64.  The ~1e-7 relative per-pixel
+    error is orders of magnitude below the FD guarantee
     ``||A^T A - B^T B||_2 <= ||A||_F^2 / ell`` and is gated by the FD
     error-bound tests.
 
 Observability: the sweep runs under a ``consume.fused`` span, per-stage
-seconds feed the same ``consume.preprocess`` / ``consume.sketch``
-histograms the staged path uses (so ``preprocess_time``/``sketch_time``
-and throughput dashboards keep working), finer-grained ``fused.*``
-histograms split the sweep, and counters account frames, chunks and
-zero-copy rows.
+seconds feed the ``consume.preprocess`` / ``consume.sketch`` histograms
+(so ``preprocess_time``/``sketch_time`` and throughput dashboards read
+them), finer-grained ``fused.*`` histograms split the sweep, and
+counters account frames and chunks.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.arams import ARAMS
 from repro.obs.clock import now
 from repro.obs.spans import SPAN_HISTOGRAM
-from repro.pipeline.guard import FrameGuard, QuarantinedFrame
-from repro.pipeline.preprocess import (
-    Preprocessor,
-    center_shifts,
-    repair_dead_pixels,
-    shift_images_into,
-)
+from repro.pipeline.preprocess import Preprocessor
 
-__all__ = ["FusedIngest", "IngestResult", "PRECISIONS"]
+__all__ = ["FusedIngest", "PRECISIONS"]
 
 #: Frame-math precision tiers (see module docstring).
 PRECISIONS = ("float64", "float32")
-
-#: Arena-path chunk size in frames.  Large enough that per-chunk numpy
-#: dispatch overhead is amortized, small enough that a chunk's scratch
-#: (two frame-stack copies) stays cache-resident for typical LCLS frame
-#: sizes.  The zero-copy path ignores this and uses the sketcher's own
-#: insertion-slice boundaries.
-_ARENA_CHUNK = 128
 
 _NONFINITE_MSG = (
     "rows contain NaN/Inf; repair detector frames first "
@@ -87,25 +58,8 @@ _NONFINITE_MSG = (
 )
 
 
-@dataclass
-class IngestResult:
-    """Outcome of one fused :meth:`FusedIngest.ingest` call."""
-
-    offered: int
-    accepted_ids: np.ndarray
-    rejected: list[QuarantinedFrame] = field(default_factory=list)
-    #: Materialized preprocessed rows when ``keep_rows`` is set, else None.
-    rows: np.ndarray | None = None
-    #: Which sketch feed ran: ``"zero_copy"`` or ``"arena"``.
-    path: str = "arena"
-
-    @property
-    def n_accepted(self) -> int:
-        return int(self.accepted_ids.shape[0])
-
-
 class FusedIngest:
-    """One-sweep guard + preprocess + sketch engine.
+    """One-sweep preprocess + sketch engine.
 
     Parameters
     ----------
@@ -115,21 +69,12 @@ class FusedIngest:
         (the monitoring pipeline builds its sketcher lazily).
     preprocessor:
         Preprocessing chain; defaults to ``Preprocessor()``.
-    guard:
-        Optional :class:`~repro.pipeline.guard.FrameGuard` screening
-        every batch in :meth:`ingest`.  Its certificates (finiteness,
-        non-negativity, L2 norms) are reused by the sweep.
     registry:
         Metric registry for spans/counters; ``None`` uses the process
         default.
     precision:
         ``"float64"`` or ``"float32"``; ``None`` reads
         ``sketcher.config.precision`` (falling back to float64).
-    keep_rows:
-        Materialize the preprocessed rows of every batch (required by
-        callers that retain rows, e.g. pipeline latent projection).
-        Forces the arena path — the rows have to exist somewhere — but
-        the sweep itself stays fused.
     """
 
     def __init__(
@@ -137,16 +82,13 @@ class FusedIngest:
         sketcher: ARAMS | None = None,
         preprocessor: Preprocessor | None = None,
         *,
-        guard: FrameGuard | None = None,
         registry=None,
         precision: str | None = None,
-        keep_rows: bool = False,
     ):
         self.sketcher = sketcher
         self.preprocessor = (
             preprocessor if preprocessor is not None else Preprocessor()
         )
-        self.guard = guard
         if registry is None:
             from repro.obs.registry import get_default_registry
 
@@ -161,13 +103,10 @@ class FusedIngest:
                 f"precision must be one of {PRECISIONS}, got {precision!r}"
             )
         self.precision = str(precision)
-        self.keep_rows = bool(keep_rows)
         self._arena: np.ndarray | None = None
-        self._next_auto_id = 0
         # Lifetime accounting (mirrored into registry counters).
         self.n_frames = 0
         self.n_chunks = 0
-        self.n_zero_copy_rows = 0
         labels = {"precision": self.precision}
         self._frames_counter = registry.counter(
             "fused_frames_total",
@@ -179,69 +118,6 @@ class FusedIngest:
             labels=labels,
             help="Chunks processed by the fused sweep",
         )
-        self._zero_copy_counter = registry.counter(
-            "fused_zero_copy_rows_total",
-            labels=labels,
-            help="Rows written zero-copy into the sketch buffer",
-        )
-
-    # ------------------------------------------------------------------
-    # Entry points
-    # ------------------------------------------------------------------
-    def ingest(self, images, shot_ids=None) -> IngestResult:
-        """Screen one batch (if a guard is attached) and sweep it.
-
-        Standalone driver used by benchmarks, serving loops and tests;
-        the monitoring pipeline keeps its own guard bookkeeping and
-        calls :meth:`sweep` directly.
-        """
-        if self.guard is not None:
-            with self.registry.span("consume.guard"):
-                batch = self.guard.screen(images, shot_ids=shot_ids)
-            stack = batch.accepted
-            ids = batch.accepted_ids
-            rejected = batch.rejected
-            offered = batch.offered
-            norms = batch.accepted_norms
-            nonneg = batch.accepted_nonneg
-            certified = self.guard.config.max_nonfinite_fraction == 0.0
-        else:
-            stack = np.asarray(images)
-            if stack.ndim != 3:
-                raise ValueError(
-                    f"expected (n, h, w) image stack, got ndim={stack.ndim}"
-                )
-            n = stack.shape[0]
-            if shot_ids is None:
-                ids = np.arange(
-                    self._next_auto_id, self._next_auto_id + n, dtype=np.int64
-                )
-            else:
-                ids = np.asarray(shot_ids, dtype=np.int64)
-                if ids.shape[0] != n:
-                    raise ValueError(
-                        f"shot_ids length {ids.shape[0]} does not match {n} frames"
-                    )
-            rejected = []
-            offered = n
-            norms = None
-            nonneg = False
-            certified = False
-        if ids.shape[0]:
-            self._next_auto_id = max(self._next_auto_id, int(ids.max()) + 1)
-        rows, path = self.sweep(
-            stack,
-            certified_finite=certified,
-            nonneg=nonneg,
-            norms=norms,
-        )
-        return IngestResult(
-            offered=offered,
-            accepted_ids=ids,
-            rejected=rejected,
-            rows=rows,
-            path=path,
-        )
 
     def sweep(
         self,
@@ -251,7 +127,7 @@ class FusedIngest:
         certified_finite: bool = False,
         nonneg: bool = False,
         norms: np.ndarray | None = None,
-    ) -> tuple[np.ndarray | None, str]:
+    ) -> np.ndarray:
         """Fused preprocess + sketch of an already-screened ``(n, h, w)`` stack.
 
         Parameters
@@ -260,76 +136,35 @@ class FusedIngest:
             Accepted frames (pixel values untouched by the guard).
         sketcher:
             ARAMS front end; defaults to the engine's bound sketcher.
-        certified_finite:
-            Every pixel is finite (a guard with
-            ``max_nonfinite_fraction == 0`` certifies this).  Lets the
-            sweep skip the NaN repair pass and the sketcher skip its
+        certified_finite, nonneg, norms:
+            Guard certificates, forwarded to
+            :meth:`~repro.pipeline.preprocess.Preprocessor.rows_into`;
+            ``certified_finite`` also lets the sketcher skip its
             finiteness scan.
-        nonneg:
-            Every pixel is ``>= 0`` (guard min statistics).  Lets
-            centering skip the negative-pixel clip; clipping a
-            non-negative stack is the identity, so the result is
-            unchanged.
-        norms:
-            Per-frame L2 norms from the guard's certificate reduction.
-            On the float32 tier with a norm-preserving chain these feed
-            L2 normalization directly — no second reduction.
 
         Returns
         -------
-        (rows, path):
-            ``rows`` is the materialized ``(n, d)`` row block when
-            ``keep_rows`` is set (valid until the next sweep — it is a
-            view of a reused arena), else ``None``.  ``path`` is
-            ``"zero_copy"`` or ``"arena"``.
+        numpy.ndarray
+            The ``(n, d)`` preprocessed rows: a view of the reused arena,
+            valid until the next sweep.
         """
         sk = sketcher if sketcher is not None else self.sketcher
         if sk is None:
             raise ValueError("no sketcher bound or supplied")
         pre = self.preprocessor
+        ch, cw = pre.output_shape(stack)
         n = int(stack.shape[0])
-        h, w = int(stack.shape[1]), int(stack.shape[2])
-        ch, cw = pre.crop if pre.crop is not None else (h, w)
-        d = ch * cw
         if n == 0:
-            empty = np.zeros((0, d)) if self.keep_rows else None
-            return empty, "arena"
-
-        fast = self.precision == "float32"
-        # Does repair actually have to touch pixels?  With a finiteness
-        # certificate and no hot-pixel clamp it is the identity.
-        repair_active = pre.repair and (
-            not certified_finite or pre.hot_sigma is not None
-        )
-        # Frames reaching the sketch are finite iff certified or repaired;
-        # otherwise the sweep runs the scan the staged sketcher would run
-        # — upfront over the whole stack, so a corrupt batch raises
-        # before anything is committed (exactly like the staged chain,
-        # where FrequentDirections rejects the batch at its boundary).
-        must_check = not (certified_finite or pre.repair)
-        if must_check and not bool(np.isfinite(stack).all()):
+            return np.zeros((0, ch * cw))
+        # Rows reaching the sketch are finite iff certified or repaired;
+        # otherwise run the sketcher's scan upfront over the whole stack,
+        # so a corrupt batch raises before anything is committed.
+        if not (certified_finite or pre.repair) and not bool(
+            np.isfinite(stack).all()
+        ):
             raise ValueError(_NONFINITE_MSG)
-        # Guard-norm reuse: only on the approximate tier (the exact tier
-        # must reproduce the staged reduction order bit for bit), only
-        # for L2, and only when no step between the guard and normalize
-        # changes frame norms (centering is a permutation — norm-safe).
-        use_guard_norms = (
-            fast
-            and norms is not None
-            and pre.normalize == "l2"
-            and pre.threshold is None
-            and pre.crop is None
-            and not repair_active
-        )
-        # Non-negativity survives repair (zero fill, downward clamp) and
-        # thresholding; an absolute threshold >= 0 even establishes it.
-        assume_nonneg = bool(nonneg) or (
-            pre.threshold is not None
-            and pre.threshold_mode == "absolute"
-            and float(pre.threshold) >= 0.0
-        )
 
-        writer = None if self.keep_rows else sk.fused_writer()
+        rows = self._arena_rows(n, ch * cw)
         stage_seconds = {
             "prep": 0.0,
             "center": 0.0,
@@ -339,210 +174,44 @@ class FusedIngest:
         with self.registry.span(
             "consume.fused", tags={"precision": self.precision}
         ):
-            if writer is not None:
-                path = "zero_copy"
-                rows = None
-                # Account the batch exactly as ARAMS.partial_fit would
-                # (offered count + on_batch observer) before the sketch
-                # mutates, matching the staged event order.
-                sk.record_fused_batch(offered=n, kept=n)
-                pos = 0
-                while pos < n:
-                    t0 = now()
-                    view = writer.reserve_rows(n - pos)
-                    k = view.shape[0]
-                    stage_seconds["sketch"] += now() - t0
-                    self._process_chunk(
-                        stack[pos : pos + k],
-                        view,
-                        ch,
-                        cw,
-                        certified_finite=certified_finite,
-                        repair_active=repair_active,
-                        assume_nonneg=assume_nonneg,
-                        fast=fast,
-                        guard_norms=(
-                            norms[pos : pos + k] if use_guard_norms else None
-                        ),
-                        stage_seconds=stage_seconds,
-                    )
-                    t0 = now()
-                    writer.commit_rows(k)
-                    stage_seconds["sketch"] += now() - t0
-                    self.n_chunks += 1
-                    self._chunks_counter.inc()
-                    self.n_zero_copy_rows += k
-                    self._zero_copy_counter.inc(k)
-                    pos += k
-            else:
-                path = "arena"
-                arena = self._arena_rows(n, d)
-                pos = 0
-                while pos < n:
-                    k = min(_ARENA_CHUNK, n - pos)
-                    self._process_chunk(
-                        stack[pos : pos + k],
-                        arena[pos : pos + k],
-                        ch,
-                        cw,
-                        certified_finite=certified_finite,
-                        repair_active=repair_active,
-                        assume_nonneg=assume_nonneg,
-                        fast=fast,
-                        guard_norms=(
-                            norms[pos : pos + k] if use_guard_norms else None
-                        ),
-                        stage_seconds=stage_seconds,
-                    )
-                    self.n_chunks += 1
-                    self._chunks_counter.inc()
-                    pos += k
-                rows = arena[:n]
-                t0 = now()
-                # One partial_fit per batch preserves the priority
-                # sampler's RNG draw boundaries; the upfront scan, guard
-                # certificate or repair pass stands in for the
-                # sketcher's own finiteness check.
-                sk.partial_fit(rows, check_finite=False)
-                stage_seconds["sketch"] += now() - t0
-                rows = rows if self.keep_rows else None
+            chunks = pre.rows_into(
+                stack,
+                rows,
+                certified_finite=certified_finite,
+                nonneg=nonneg,
+                norms=norms,
+                float32=self.precision == "float32",
+                stage_seconds=stage_seconds,
+            )
+            t0 = now()
+            # One partial_fit per batch preserves the priority sampler's
+            # RNG draw boundaries; the upfront scan, guard certificate or
+            # repair pass stands in for the sketcher's finiteness check.
+            sk.partial_fit(rows, check_finite=False)
+            stage_seconds["sketch"] += now() - t0
+        self.n_chunks += chunks
+        self._chunks_counter.inc(chunks)
         self.n_frames += n
         self._frames_counter.inc(n)
         self._observe_stage_seconds(stage_seconds)
-        return rows, path
+        return rows
 
-    # ------------------------------------------------------------------
-    # The sweep kernel
-    # ------------------------------------------------------------------
-    def _process_chunk(
-        self,
-        src: np.ndarray,
-        dest: np.ndarray,
-        ch: int,
-        cw: int,
-        *,
-        certified_finite: bool,
-        repair_active: bool,
-        assume_nonneg: bool,
-        fast: bool,
-        guard_norms: np.ndarray | None,
-        stage_seconds: dict,
-    ) -> None:
-        """Preprocess ``src`` frames into the ``(k, ch*cw)`` row block ``dest``.
-
-        ``dest`` is float64 and is written exactly once per pixel (by the
-        centering gather / final copy); normalization divides it in
-        place.  All work before that final write happens in the tier's
-        dtype on chunk-local scratch.
-        """
-        pre = self.preprocessor
-        k, h, w = src.shape
-        t0 = now()
-        dtype = np.float32 if fast else np.float64
-        cur = src if src.dtype == dtype else src.astype(dtype)
-        own = cur is not src  # may we mutate `cur` in place?
-
-        if repair_active:
-            if fast:
-                # The robust-stats clamp is defined in float64 (see
-                # repair_dead_pixels); run it exactly and drop back to
-                # the fast tier after.  This only costs when repair has
-                # real work to do — the certified hot path skips it.
-                cur = repair_dead_pixels(
-                    cur.astype(np.float64, copy=False), hot_sigma=pre.hot_sigma
-                ).astype(np.float32)
-            else:
-                cur = repair_dead_pixels(cur, hot_sigma=pre.hot_sigma)
-            own = True
-
-        if pre.crop is not None:
-            # A view into scratch we own is still safely mutable, so
-            # cropping leaves ownership unchanged.
-            top = (h - ch) // 2
-            left = (w - cw) // 2
-            cur = cur[:, top : top + ch, left : left + cw]
-
-        if pre.threshold is not None:
-            if pre.threshold_mode == "absolute":
-                cut = np.full(k, float(pre.threshold), dtype=cur.dtype)
-            elif pre.threshold_mode == "quantile":
-                if not 0.0 <= float(pre.threshold) <= 1.0:
-                    raise ValueError(
-                        f"quantile threshold must be in [0, 1], got {pre.threshold}"
-                    )
-                cut = np.quantile(
-                    cur.reshape(k, -1), float(pre.threshold), axis=1
-                ).astype(cur.dtype, copy=False)
-            else:
-                raise ValueError(f"unknown mode {pre.threshold_mode!r}")
-            if not own:
-                cur = cur.copy()
-                own = True
-            cur[cur < cut[:, None, None]] = 0.0
-        stage_seconds["prep"] += now() - t0
-
-        dest3d = dest.reshape(k, ch, cw)
-        scale_src = cur  # frame values whose norms equal the output norms
-        t0 = now()
-        if pre.center:
-            dy, dx = center_shifts(cur, assume_nonneg=assume_nonneg)
-            # The single write: gather each frame — shifted — into the
-            # destination rows, upcasting on the float32 tier.
-            shift_images_into(dest3d, cur, dy, dx)
-        else:
-            dest3d[...] = cur
-        stage_seconds["center"] += now() - t0
-
-        if pre.normalize is not None:
-            t0 = now()
-            if guard_norms is not None:
-                scale = np.asarray(guard_norms, dtype=np.float64)
-            elif fast:
-                # Centering permutes pixels, so pre-shift float32 norms
-                # equal post-shift norms; reading the small scratch
-                # avoids a pass over the float64 destination.
-                scale = self._scale_of(scale_src.reshape(k, -1), pre.normalize)
-            else:
-                # Exact tier: the staged chain reduces the *processed*
-                # float64 frames; do the same on the destination rows.
-                scale = self._scale_of(dest, pre.normalize)
-            scale = np.where((scale == 0) | ~np.isfinite(scale), 1.0, scale)
-            dest /= scale[:, None]
-            stage_seconds["normalize"] += now() - t0
-
-    @staticmethod
-    def _scale_of(flat: np.ndarray, mode: str) -> np.ndarray:
-        """Per-row normalization scale, matching ``normalize_intensity``."""
-        if mode == "sum":
-            return np.asarray(flat.sum(axis=1), dtype=np.float64)
-        if mode == "max":
-            return np.asarray(flat.max(axis=1), dtype=np.float64)
-        if mode == "l2":
-            flat = np.ascontiguousarray(flat)
-            return np.asarray(
-                np.sqrt(np.einsum("ij,ij->i", flat, flat)), dtype=np.float64
-            )
-        raise ValueError(f"unknown mode {mode!r}")
-
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
     def _arena_rows(self, n: int, d: int) -> np.ndarray:
-        """Reusable float64 ``(>=n, d)`` row arena (grown, never shrunk)."""
+        """``(n, d)`` view of a reusable float64 arena (grown, never shrunk)."""
         arena = self._arena
         if arena is None or arena.shape[0] < n or arena.shape[1] != d:
             arena = np.empty((n, d), dtype=np.float64)
             self._arena = arena
-        return arena
+        return arena[:n]
 
     def _observe_stage_seconds(self, stage_seconds: dict) -> None:
         """Feed per-stage sweep seconds into the span histograms.
 
-        The prep/center/normalize stages accumulate into the same
-        ``consume.preprocess`` histogram the staged path writes (and the
-        sketch stage into ``consume.sketch``) so existing
-        ``preprocess_time`` / ``sketch_time`` / throughput readers keep
-        working, while ``fused.*`` entries expose the finer split.
+        The prep/center/normalize stages accumulate into the
+        ``consume.preprocess`` histogram and the sketch stage into
+        ``consume.sketch`` — the pair ``preprocess_time`` /
+        ``sketch_time`` / throughput readers use — while ``fused.*``
+        entries expose the finer split.
         """
         reg = self.registry
         prep = (

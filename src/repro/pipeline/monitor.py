@@ -6,14 +6,16 @@ demand produces the operator-facing analysis: latent projection of every
 consumed image, a 2-D UMAP embedding, OPTICS cluster labels and ABOD
 outlier flags, with per-stage timings.
 
-Two ingestion modes:
+Two ingestion modes, both preprocessing frames with the one kernel
+behind :meth:`~repro.pipeline.preprocess.Preprocessor.rows_into`:
 
-- **single-stream** (:meth:`consume`): batches feed one ARAMS sketcher,
+- **single-stream** (:meth:`consume`): batches feed one ARAMS sketcher
+  through the fused sweep of :class:`~repro.pipeline.ingest.FusedIngest`,
   the streaming deployment on one core;
-- **sharded** (:meth:`consume_sharded`): the batch is split across a
-  simulated rank world, each rank sketches locally, and the sketches
-  tree-merge — the paper's parallel deployment, usable for throughput
-  studies without real MPI.
+- **sharded** (:meth:`consume_sharded`): the preprocessed batch is split
+  across a simulated rank world, each rank sketches locally, and the
+  sketches tree-merge — the paper's parallel deployment, usable for
+  throughput studies without real MPI.
 
 Note on memory: latent projection needs the images themselves (the
 sketch supplies only the basis), so consumed rows are retained by
@@ -220,14 +222,14 @@ class MonitoringPipeline:
     seed:
         Master seed for every stochastic stage.
     ingest:
-        ``"staged"`` (default) runs guard → preprocess → sketch as
-        separate whole-stack passes; ``"fused"`` routes accepted frames
-        through :class:`~repro.pipeline.ingest.FusedIngest`, a
-        single-sweep hot path that reuses the guard's certificates and
-        writes each processed frame exactly once.  With the default
-        float64 precision tier the sketch state is bit-identical to
-        staged ingestion; ``ARAMSConfig(precision="float32")`` selects
-        the faster approximate tier (see ``docs/performance.md``).
+        Accepted for compatibility; ``"fused"`` is the only value.
+        :meth:`consume` always runs the fused sweep of
+        :class:`~repro.pipeline.ingest.FusedIngest`, which reuses the
+        guard's certificates and writes each processed frame exactly
+        once.  ``ARAMSConfig(precision="float32")`` selects its faster
+        approximate tier; the float64 default gives the rows of
+        :meth:`~repro.pipeline.preprocess.Preprocessor.apply_flat` bit
+        for bit (see ``docs/performance.md``).
 
     Examples
     --------
@@ -256,12 +258,12 @@ class MonitoringPipeline:
         registry: Registry | None = None,
         seed: int | None = None,
         guard: FrameGuard | GuardConfig | bool | None = None,
-        ingest: str = "staged",
+        ingest: str = "fused",
     ):
         if retain not in ("rows", "latent"):
             raise ValueError(f"unknown retain mode {retain!r}")
-        if ingest not in ("staged", "fused"):
-            raise ValueError(f"unknown ingest mode {ingest!r}")
+        if ingest != "fused":
+            raise ValueError(f"unknown ingest mode {ingest!r}; only 'fused' exists")
         self.image_shape = tuple(image_shape)
         self.preprocessor = (
             preprocessor
@@ -291,7 +293,6 @@ class MonitoringPipeline:
         self.outlier_neighbors = int(outlier_neighbors)
         self.retain = retain
         self.seed = seed
-        self.ingest = ingest
         self._fused: FusedIngest | None = None
 
         self._sketcher: ARAMS | None = None
@@ -363,7 +364,7 @@ class MonitoringPipeline:
         the batch may be a ragged frame list and comes back as the
         accepted ``(m, h, w)`` stack plus the full
         :class:`~repro.pipeline.guard.GuardBatch` (whose certificate
-        by-products the fused ingest path reuses); without one, it must
+        by-products the fused sweep reuses); without one, it must
         already be a clean stack and the batch slot is ``None``.  Either
         way the pipeline's offered count and shot-id cursor advance.
         """
@@ -406,63 +407,38 @@ class MonitoringPipeline:
         self._batches_counter.inc()
         if images.shape[0] == 0:
             return self  # whole batch quarantined; the sketch sees nothing
-        if self.ingest == "fused":
-            rows = self._consume_fused(images, gb)
-            sk = self._sketcher
-        else:
-            with self.registry.span("consume.preprocess"):
-                rows = self.preprocessor.apply_flat(images)
-            sk = self._ensure_sketcher(rows.shape[1])
-            with self.registry.span("consume.sketch"):
-                sk.partial_fit(rows)
-        self.n_images += rows.shape[0]
-        self.shot_ids.extend(int(s) for s in ids)
-        self._images_counter.inc(rows.shape[0])
-        self._retain_batch(rows, sk)
-        self._maybe_publish()
-        return self
-
-    def _ensure_fused(self) -> FusedIngest:
+        ch, cw = self.preprocessor.output_shape(images)
+        sk = self._ensure_sketcher(ch * cw)
         if self._fused is None:
-            # The pipeline keeps its own guard bookkeeping in _admit, so
-            # the engine runs guard-less; keep_rows because every retain
-            # mode needs the materialized rows (retention or latent
-            # projection).
+            # The pipeline keeps its own guard bookkeeping in _admit and
+            # hands the engine the certificates.
             self._fused = FusedIngest(
                 preprocessor=self.preprocessor,
                 registry=self.registry,
                 precision=self.sketch_config.precision,
-                keep_rows=True,
             )
-        return self._fused
-
-    def _consume_fused(
-        self, images: np.ndarray, gb: GuardBatch | None
-    ) -> np.ndarray:
-        """Run one accepted stack through the fused sweep; returns rows.
-
-        The returned block is a view of the engine's reusable arena —
-        valid until the next batch — so retention copies it.
-        """
-        h, w = int(images.shape[1]), int(images.shape[2])
-        crop = self.preprocessor.crop
-        ch, cw = crop if crop is not None else (h, w)
-        sk = self._ensure_sketcher(ch * cw)
-        eng = self._ensure_fused()
-        certified = (
-            self.guard is not None
-            and self.guard.config.max_nonfinite_fraction == 0.0
-        )
-        rows, _ = eng.sweep(
+        rows = self._fused.sweep(
             images,
             sk,
-            certified_finite=certified,
+            certified_finite=(
+                self.guard is not None
+                and self.guard.config.max_nonfinite_fraction == 0.0
+            ),
             nonneg=gb.accepted_nonneg if gb is not None else False,
             norms=gb.accepted_norms if gb is not None else None,
         )
         if self.retain == "rows":
             rows = rows.copy()  # outlive the arena's next-batch reuse
-        return rows
+        self._record_batch(rows, ids, sk)
+        return self
+
+    def _record_batch(self, rows: np.ndarray, ids: np.ndarray, sk: ARAMS) -> None:
+        """Account, retain and publish one sketched batch."""
+        self.n_images += rows.shape[0]
+        self.shot_ids.extend(int(s) for s in ids)
+        self._images_counter.inc(rows.shape[0])
+        self._retain_batch(rows, sk)
+        self._maybe_publish()
 
     def _retain_batch(self, rows: np.ndarray, sk: ARAMS) -> None:
         if self.retain == "rows":
@@ -493,7 +469,9 @@ class MonitoringPipeline:
 
         The resulting global sketch is merged into the pipeline's
         sketcher, so sharded and streaming ingestion can be mixed.  The
-        virtual makespan is charged to ``sketch_time``.
+        wall time of the rank run and the fold is charged to
+        ``sketch_time``; the runner's virtual makespan stays in its own
+        ``parallel_makespan_seconds`` histogram.
         """
         images, ids, _ = self._admit(images, shot_ids)
         self._batches_counter.inc()
@@ -508,19 +486,11 @@ class MonitoringPipeline:
             cost_model=cost_model,
             registry=self.registry,
         )
-        shards = np.array_split(rows, n_ranks, axis=0)
-        result = runner.run(shards)
-        # The virtual makespan is observed into the sketch-stage
-        # histogram so sketch_time keeps its historical meaning.
-        self._stage_histogram("consume.sketch").observe(result.makespan)
-        # Fold the merged global sketch into the running sketcher.
         with self.registry.span("consume.sketch"):
+            result = runner.run(np.array_split(rows, n_ranks, axis=0))
+            # Fold the merged global sketch into the running sketcher.
             sk.sketcher.partial_fit(result.sketch[np.any(result.sketch != 0, axis=1)])
-        self.n_images += rows.shape[0]
-        self.shot_ids.extend(int(s) for s in ids)
-        self._images_counter.inc(rows.shape[0])
-        self._retain_batch(rows, sk)
-        self._maybe_publish()
+        self._record_batch(rows, ids, sk)
         return self
 
     # ------------------------------------------------------------------
@@ -627,13 +597,6 @@ class MonitoringPipeline:
     # Timing views (spans are the source of truth; these attributes are
     # kept as thin reads over the registry for backward compatibility)
     # ------------------------------------------------------------------
-    def _stage_histogram(self, span_name: str):
-        return self.registry.histogram(
-            SPAN_HISTOGRAM,
-            labels={"span": span_name},
-            help="Wall-clock seconds per instrumented span",
-        )
-
     def _stage_seconds(self, span_name: str) -> float:
         hist = self.registry.get_sample(SPAN_HISTOGRAM, {"span": span_name})
         return float(hist.sum) if hist is not None else 0.0
@@ -645,7 +608,7 @@ class MonitoringPipeline:
 
     @property
     def sketch_time(self) -> float:
-        """Cumulative seconds (real + virtual) in the sketching stage."""
+        """Cumulative wall-clock seconds in the sketching stage."""
         return self._stage_seconds("consume.sketch")
 
     # ------------------------------------------------------------------
@@ -921,14 +884,12 @@ class MonitoringPipeline:
         }
         summary["n_images"] = self.n_images
         summary["n_offered"] = self.n_offered
-        summary["ingest"] = {"mode": self.ingest}
         if self._fused is not None:
-            summary["ingest"].update(
-                precision=self._fused.precision,
-                frames=self._fused.n_frames,
-                chunks=self._fused.n_chunks,
-                zero_copy_rows=self._fused.n_zero_copy_rows,
-            )
+            summary["ingest"] = {
+                "precision": self._fused.precision,
+                "frames": self._fused.n_frames,
+                "chunks": self._fused.n_chunks,
+            }
         if self.guard is not None:
             summary["guard"] = self.guard.summary()
         if self._analysis is not None and self._analysis.stages:

@@ -3,10 +3,15 @@
 The paper (Section VI) applies "thresholding by intensity, intensity
 normalization, and centering to ensure that the primary shape of the
 beam profile and its distribution of intensity were the focus of the
-analysis", and crops large-area detector frames before sketching.  Each
-step is a pure function over an ``(n, h, w)`` image stack; the
-:class:`Preprocessor` chains them in the configured order and flattens
-the result into sketcher-ready rows.
+analysis", and crops large-area detector frames before sketching.
+
+:class:`Preprocessor` holds that recipe and runs it as one kernel
+(:meth:`Preprocessor.rows_into`): chunk by chunk, frames are repaired,
+cropped, thresholded and centered in scratch, written exactly once into
+their float64 sketch rows, and normalized there in place.
+:meth:`Preprocessor.apply_flat` and the fused ingest sweep
+(:mod:`repro.pipeline.ingest`) both run this kernel, so a frame becomes
+the same row whichever path consumes it.
 """
 
 from __future__ import annotations
@@ -16,16 +21,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs.clock import now
+
 __all__ = [
     "repair_dead_pixels",
-    "threshold_intensity",
-    "normalize_intensity",
-    "center_images",
     "center_shifts",
     "shift_images_into",
-    "crop_images",
     "Preprocessor",
 ]
+
+#: Frames per kernel chunk.  Large enough that per-chunk numpy dispatch
+#: overhead is amortized, small enough that a chunk's scratch (two
+#: frame-stack copies) stays cache-resident for typical LCLS frame sizes.
+CHUNK_FRAMES = 128
 
 
 def _check_stack(images: np.ndarray) -> np.ndarray:
@@ -33,79 +41,6 @@ def _check_stack(images: np.ndarray) -> np.ndarray:
     if images.ndim != 3:
         raise ValueError(f"expected (n, h, w) image stack, got ndim={images.ndim}")
     return images
-
-
-def threshold_intensity(
-    images: np.ndarray,
-    threshold: float,
-    mode: str = "absolute",
-) -> np.ndarray:
-    """Zero all pixels below a threshold (suppresses detector background).
-
-    Parameters
-    ----------
-    images:
-        ``(n, h, w)`` stack.
-    threshold:
-        Cut level.  In ``"absolute"`` mode, a raw pixel value; in
-        ``"quantile"`` mode, a per-image quantile in [0, 1] (e.g. 0.5
-        zeroes the dimmer half of each frame).
-    mode:
-        ``"absolute"`` or ``"quantile"``.
-
-    Returns
-    -------
-    numpy.ndarray
-        New stack with sub-threshold pixels set to zero.
-    """
-    images = _check_stack(images)
-    if mode == "absolute":
-        cut = np.full(images.shape[0], float(threshold))
-    elif mode == "quantile":
-        if not 0.0 <= threshold <= 1.0:
-            raise ValueError(f"quantile threshold must be in [0, 1], got {threshold}")
-        cut = np.quantile(images.reshape(images.shape[0], -1), threshold, axis=1)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    out = images.copy()
-    out[out < cut[:, None, None]] = 0.0
-    return out
-
-
-def normalize_intensity(images: np.ndarray, mode: str = "sum") -> np.ndarray:
-    """Normalize each frame's intensity (removes pulse-energy jitter).
-
-    Parameters
-    ----------
-    images:
-        ``(n, h, w)`` stack.
-    mode:
-        ``"sum"`` — each frame integrates to 1 (the natural choice for
-        beam profiles, where total pulse energy is a nuisance factor);
-        ``"max"`` — each frame's peak is 1;
-        ``"l2"`` — each flattened frame has unit Euclidean norm (the
-        natural choice ahead of a Gram-preserving sketch).
-
-    Returns
-    -------
-    numpy.ndarray
-        New normalized stack; frames whose scale is zero or non-finite
-        (all-zero frames, unrepaired Inf pixels, a constant frame whose
-        sum cancels) are left untouched rather than divided into NaNs —
-        a silent NaN row would poison the Gram sketch irrecoverably.
-    """
-    images = _check_stack(images)
-    flat = images.reshape(images.shape[0], -1)
-    if mode == "sum":
-        scale = flat.sum(axis=1)
-    elif mode == "max":
-        scale = flat.max(axis=1)
-    elif mode == "l2":
-        scale = np.sqrt(np.einsum("ij,ij->i", flat, flat))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    scale = np.where((scale == 0) | ~np.isfinite(scale), 1.0, scale)
-    return images / scale[:, None, None]
 
 
 def center_shifts(
@@ -136,8 +71,9 @@ def center_shifts(
     ys = np.arange(h, dtype=np.float64)
     xs = np.arange(w, dtype=np.float64)
     # einsum (not BLAS matvec) so each frame's centroid is accumulated
-    # identically no matter how many frames share the stack — the fused
-    # engine processes the same frames in chunks and must agree bitwise.
+    # identically no matter how many frames share the stack — the kernel
+    # processes frames in chunks and must agree bitwise with whole-stack
+    # reductions.
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         cy = np.einsum("nh,h->n", row_mass, ys) / total
         cx = np.einsum("nw,w->n", col_mass, xs) / total
@@ -163,10 +99,10 @@ def shift_images_into(
     Each roll is four block slice copies written straight into ``out``
     (no intermediate rolled copy, unlike ``np.roll``); the result is
     bit-identical to ``np.roll`` since a roll is a pure permutation of
-    pixels.  ``out`` may be any writable ``(n, h, w)`` view — the fused
-    ingest engine passes a reshaped window of the sketch buffer so
-    centered frames are written exactly once, directly where the
-    sketcher consumes them.
+    pixels.  ``out`` may be any writable ``(n, h, w)`` view — the kernel
+    passes a reshaped window of its float64 row block, so centered
+    frames are written exactly once, directly where the sketcher reads
+    them.
     """
     n, h, w = images.shape
     for i in range(n):
@@ -180,67 +116,6 @@ def shift_images_into(
         dst[:a, :b] = src[h - a :, w - b :]
 
 
-def center_images(images: np.ndarray) -> np.ndarray:
-    """Shift each frame so its intensity center of mass is at the center.
-
-    Uses integer circular shifts, which preserve total intensity exactly
-    and avoid interpolation artefacts; sub-pixel centering is
-    deliberately not attempted since the sketch operates on pixel-space
-    features.  Centroids are computed with whole-stack reductions and
-    the shifts applied as one batched gather — no per-frame Python loop.
-    """
-    images = _check_stack(images)
-    out = np.empty_like(images)
-    dy, dx = center_shifts(images)
-    shift_images_into(out, images, dy, dx)
-    return out
-
-
-def _center_images_loop(images: np.ndarray) -> np.ndarray:
-    """Pre-vectorization reference implementation of :func:`center_images`.
-
-    Kept as the oracle for equivalence tests and as the "before" case in
-    the ingest benchmarks; iterates frames in a Python loop exactly as
-    the original code did.
-    """
-    images = _check_stack(images)
-    n, h, w = images.shape
-    ys = np.arange(h, dtype=np.float64)
-    xs = np.arange(w, dtype=np.float64)
-    out = np.empty_like(images)
-    cy_target = (h - 1) / 2.0
-    cx_target = (w - 1) / 2.0
-    for i in range(n):
-        img = np.clip(images[i], 0.0, None)
-        total = img.sum()
-        if total == 0 or not np.isfinite(total):
-            out[i] = images[i]
-            continue
-        cy = float((img.sum(axis=1) @ ys) / total)
-        cx = float((img.sum(axis=0) @ xs) / total)
-        if not (np.isfinite(cy) and np.isfinite(cx)):
-            out[i] = images[i]
-            continue
-        out[i] = np.roll(
-            images[i],
-            (int(round(cy_target - cy)), int(round(cx_target - cx))),
-            axis=(0, 1),
-        )
-    return out
-
-
-def crop_images(images: np.ndarray, size: tuple[int, int]) -> np.ndarray:
-    """Center-crop each frame to ``size`` (cuts dead detector borders)."""
-    images = _check_stack(images)
-    n, h, w = images.shape
-    ch, cw = size
-    if not (0 < ch <= h and 0 < cw <= w):
-        raise ValueError(f"crop size {size} incompatible with frames of ({h}, {w})")
-    top = (h - ch) // 2
-    left = (w - cw) // 2
-    return images[:, top : top + ch, left : left + cw].copy()
-
-
 @dataclass(frozen=True)
 class Preprocessor:
     """Configurable preprocessing chain, applied in the paper's order.
@@ -248,16 +123,21 @@ class Preprocessor:
     Attributes
     ----------
     threshold:
-        Intensity cut (``None`` disables); interpreted per
-        ``threshold_mode``.
+        Intensity cut (``None`` disables); pixels below it are zeroed
+        to suppress detector background.
     threshold_mode:
-        ``"absolute"`` or ``"quantile"``.
+        ``"absolute"`` (``threshold`` is a raw pixel value) or
+        ``"quantile"`` (a per-frame quantile in [0, 1]; 0.5 zeroes the
+        dimmer half of each frame).
     normalize:
-        ``"sum"``, ``"max"``, ``"l2"``, or ``None``.
+        ``"sum"`` (each frame integrates to 1; pulse energy is a
+        nuisance factor for beam profiles), ``"max"`` (peak 1),
+        ``"l2"`` (unit-norm rows, natural ahead of a Gram-preserving
+        sketch), or ``None``.
     center:
         Recenter frames on their center of mass.
     crop:
-        Optional ``(h, w)`` center-crop applied first.
+        Optional ``(h, w)`` center-crop, applied right after repair.
     repair:
         Replace NaN/Inf dead pixels with zero before anything else
         (and clamp hot pixels when ``hot_sigma`` is set).
@@ -282,25 +162,223 @@ class Preprocessor:
     repair: bool = True
     hot_sigma: float | None = None
 
-    def apply(self, images: np.ndarray) -> np.ndarray:
-        """Run the configured chain; returns a processed (n, h, w) stack."""
-        images = _check_stack(images)
-        if self.repair:
-            images = repair_dead_pixels(images, hot_sigma=self.hot_sigma)
-        if self.crop is not None:
-            images = crop_images(images, self.crop)
-        if self.threshold is not None:
-            images = threshold_intensity(images, self.threshold, self.threshold_mode)
-        if self.center:
-            images = center_images(images)
-        if self.normalize is not None:
-            images = normalize_intensity(images, self.normalize)
-        return images
-
     def apply_flat(self, images: np.ndarray) -> np.ndarray:
-        """Run the chain and flatten frames into sketcher rows."""
-        processed = self.apply(images)
-        return processed.reshape(processed.shape[0], -1)
+        """Run the chain on an ``(n, h, w)`` stack; returns ``(n, d)`` float64 rows.
+
+        The kernel runs on the exact float64 tier with no certificates,
+        so this is what the fused sweep produces for the same frames.
+        """
+        stack = np.asarray(images)
+        ch, cw = self.output_shape(stack)
+        rows = np.empty((stack.shape[0], ch * cw))
+        self.rows_into(stack, rows)
+        return rows
+
+    def output_shape(self, stack: np.ndarray) -> tuple[int, int]:
+        """Frame shape after the crop; rejects non-stacks and oversize crops."""
+        if stack.ndim != 3:
+            raise ValueError(f"expected (n, h, w) image stack, got ndim={stack.ndim}")
+        h, w = int(stack.shape[1]), int(stack.shape[2])
+        if self.crop is None:
+            return h, w
+        ch, cw = self.crop
+        if not (0 < ch <= h and 0 < cw <= w):
+            raise ValueError(
+                f"crop size {self.crop} incompatible with frames of ({h}, {w})"
+            )
+        return int(ch), int(cw)
+
+    def rows_into(
+        self,
+        stack: np.ndarray,
+        out: np.ndarray,
+        *,
+        certified_finite: bool = False,
+        nonneg: bool = False,
+        norms: np.ndarray | None = None,
+        float32: bool = False,
+        stage_seconds: dict | None = None,
+    ) -> int:
+        """Preprocess ``stack`` into the float64 row block ``out``.
+
+        Runs the kernel over chunks of :data:`CHUNK_FRAMES` frames and
+        returns the number of chunks.  The guard certificates never
+        change the result, they only remove passes; ``float32`` selects
+        the approximate tier:
+
+        certified_finite:
+            Every pixel is finite (a guard with
+            ``max_nonfinite_fraction == 0`` certifies this), so repair
+            without a hot-pixel clamp is the identity and is skipped.
+        nonneg:
+            Every pixel is ``>= 0`` (guard min statistics), so centering
+            skips its negative-pixel clip.
+        norms:
+            Per-frame L2 norms from the guard's certificate reduction.
+            On the float32 tier with a norm-preserving chain they feed
+            L2 normalization directly, with no second reduction.
+        float32:
+            Run frame math (repair/threshold/centroids) in single
+            precision and upcast once on the write into ``out``.  The
+            ~1e-7 relative per-pixel error is far below the FD bound.
+        stage_seconds:
+            Optional accumulator of ``prep``/``center``/``normalize``
+            seconds.
+        """
+        n = int(stack.shape[0])
+        ch, cw = self.output_shape(stack)
+        # With a finiteness certificate and no hot-pixel clamp, repair
+        # is the identity.
+        repair_active = self.repair and (
+            not certified_finite or self.hot_sigma is not None
+        )
+        # Guard-norm reuse: only on the approximate tier (the exact tier
+        # reduces the processed float64 rows), only for L2, and only
+        # when no step between the guard and normalize changes frame
+        # norms (centering is a permutation, so it is norm-safe).
+        use_guard_norms = (
+            float32
+            and norms is not None
+            and self.normalize == "l2"
+            and self.threshold is None
+            and self.crop is None
+            and not repair_active
+        )
+        # Non-negativity survives repair (zero fill, downward clamp) and
+        # thresholding; an absolute threshold >= 0 even establishes it.
+        assume_nonneg = bool(nonneg) or (
+            self.threshold is not None
+            and self.threshold_mode == "absolute"
+            and float(self.threshold) >= 0.0
+        )
+        if stage_seconds is None:
+            stage_seconds = {"prep": 0.0, "center": 0.0, "normalize": 0.0}
+        chunks = 0
+        for pos in range(0, n, CHUNK_FRAMES):
+            stop = min(pos + CHUNK_FRAMES, n)
+            self._process_chunk(
+                stack[pos:stop],
+                out[pos:stop],
+                ch,
+                cw,
+                repair_active=repair_active,
+                assume_nonneg=assume_nonneg,
+                float32=float32,
+                guard_norms=norms[pos:stop] if use_guard_norms else None,
+                stage_seconds=stage_seconds,
+            )
+            chunks += 1
+        return chunks
+
+    def _process_chunk(
+        self,
+        src: np.ndarray,
+        dest: np.ndarray,
+        ch: int,
+        cw: int,
+        *,
+        repair_active: bool,
+        assume_nonneg: bool,
+        float32: bool,
+        guard_norms: np.ndarray | None,
+        stage_seconds: dict,
+    ) -> None:
+        """Preprocess ``src`` frames into the ``(k, ch*cw)`` row block ``dest``.
+
+        ``dest`` is float64 and is written exactly once per pixel (by the
+        centering gather / final copy); normalization divides it in
+        place.  All work before that final write happens in the tier's
+        dtype on chunk-local scratch.
+        """
+        k, h, w = src.shape
+        t0 = now()
+        dtype = np.float32 if float32 else np.float64
+        cur = src if src.dtype == dtype else src.astype(dtype)
+        own = cur is not src  # may we mutate `cur` in place?
+
+        if repair_active:
+            if float32:
+                # The robust-stats clamp is defined in float64 (see
+                # repair_dead_pixels); run it exactly and drop back to
+                # the fast tier after.  This only costs when repair has
+                # real work to do — the certified hot path skips it.
+                cur = repair_dead_pixels(
+                    cur.astype(np.float64, copy=False), hot_sigma=self.hot_sigma
+                ).astype(np.float32)
+            else:
+                cur = repair_dead_pixels(cur, hot_sigma=self.hot_sigma)
+            own = True
+
+        if self.crop is not None:
+            # A view into scratch we own is still safely mutable, so
+            # cropping leaves ownership unchanged.
+            top = (h - ch) // 2
+            left = (w - cw) // 2
+            cur = cur[:, top : top + ch, left : left + cw]
+
+        if self.threshold is not None:
+            if self.threshold_mode == "absolute":
+                cut = np.full(k, float(self.threshold), dtype=cur.dtype)
+            elif self.threshold_mode == "quantile":
+                if not 0.0 <= float(self.threshold) <= 1.0:
+                    raise ValueError(
+                        f"quantile threshold must be in [0, 1], got {self.threshold}"
+                    )
+                cut = np.quantile(
+                    cur.reshape(k, -1), float(self.threshold), axis=1
+                ).astype(cur.dtype, copy=False)
+            else:
+                raise ValueError(f"unknown mode {self.threshold_mode!r}")
+            if not own:
+                cur = cur.copy()
+                own = True
+            cur[cur < cut[:, None, None]] = 0.0
+        stage_seconds["prep"] += now() - t0
+
+        dest3d = dest.reshape(k, ch, cw)
+        t0 = now()
+        if self.center:
+            dy, dx = center_shifts(cur, assume_nonneg=assume_nonneg)
+            # The single write: gather each frame — shifted — into the
+            # destination rows, upcasting on the float32 tier.
+            shift_images_into(dest3d, cur, dy, dx)
+        else:
+            dest3d[...] = cur
+        stage_seconds["center"] += now() - t0
+
+        if self.normalize is not None:
+            t0 = now()
+            if guard_norms is not None:
+                scale = np.asarray(guard_norms, dtype=np.float64)
+            elif float32:
+                # Centering permutes pixels, so pre-shift float32 norms
+                # equal post-shift norms; reading the small scratch
+                # avoids a pass over the float64 destination.
+                scale = _scale_of(cur.reshape(k, -1), self.normalize)
+            else:
+                # Exact tier: reduce the processed float64 rows.
+                scale = _scale_of(dest, self.normalize)
+            # Frames whose scale is zero or non-finite (all-zero frames,
+            # unrepaired Inf pixels, a constant frame whose sum cancels)
+            # are left untouched rather than divided into NaNs — a
+            # silent NaN row would poison the Gram sketch irrecoverably.
+            scale = np.where((scale == 0) | ~np.isfinite(scale), 1.0, scale)
+            dest /= scale[:, None]
+            stage_seconds["normalize"] += now() - t0
+
+
+def _scale_of(flat: np.ndarray, mode: str) -> np.ndarray:
+    """Per-row normalization scale: ``sum``, ``max`` or ``l2`` norm."""
+    if mode == "sum":
+        return np.asarray(flat.sum(axis=1), dtype=np.float64)
+    if mode == "max":
+        return np.asarray(flat.max(axis=1), dtype=np.float64)
+    if mode == "l2":
+        flat = np.ascontiguousarray(flat)
+        return np.asarray(
+            np.sqrt(np.einsum("ij,ij->i", flat, flat)), dtype=np.float64
+        )
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def repair_dead_pixels(

@@ -1,13 +1,20 @@
-"""Golden cross-backend accuracy fixture: selection is replay-exact.
+"""Golden cross-backend accuracy fixture: selection replays on any machine.
 
 ``tests/golden/backend_accuracy.json`` freezes the auto-selector's full
 evidence over a seeded (d, rank, drift) x target grid: per-candidate
 measured error, modeled throughput, qualification and the winner.
-Because accuracy is measured on seeded probe streams and throughput
-comes from the deterministic cost model (never wall-clock), the whole
-fixture recomputes bit-for-bit on any machine — so this test compares
-**exactly**, floats included.  A mismatch means backend numerics or the
-selector changed; if intentional, regenerate with::
+Accuracy is measured on seeded probe streams and throughput comes from
+the deterministic cost model (never wall-clock), so every *decision*
+replays exactly: keys, ints, ``selected`` and ``meets_target`` compare
+with ``==``.  The float fields ``error`` and ``modeled_rows_per_sec``
+compare at a declared ``rtol`` (:data:`FLOAT_RTOL`), not bitwise:
+numpy's OpenBLAS build picks its GEMM/LAPACK kernels per CPU
+(DYNAMIC_ARCH), so the BLAS-derived errors move in their last bits from
+one machine to the next — e.g. FD's error in the first regime reads
+``...59192`` on one x86 host against the fixture's ``...591974``, and
+the randomized backend's errors differ by up to ~1e-13 relative.  A
+mismatch beyond that means backend numerics or the selector changed; if
+intentional, regenerate with::
 
     PYTHONPATH=src python tools/gen_backend_golden.py
 
@@ -43,10 +50,32 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
+#: Relative tolerance for the BLAS-derived float fields below; every
+#: other field compares exactly.
+FLOAT_RTOL = 1e-9
+FLOAT_FIELDS = ("error", "modeled_rows_per_sec")
+
+
+def _assert_replays(got, want, path="fixture", tolerant=False):
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), path
+        for key in want:
+            _assert_replays(got[key], want[key], f"{path}.{key}", key in FLOAT_FIELDS)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_replays(g, w, f"{path}[{i}]")
+    elif tolerant:
+        assert isinstance(got, float), path
+        assert got == pytest.approx(want, rel=FLOAT_RTOL, abs=0.0), path
+    else:
+        assert type(got) is type(want) and got == want, path
+
+
 @pytest.mark.timeout(300)
 def test_fixture_replays_exactly(recomputed, golden):
-    """Bitwise identity: same probes, same errors, same decisions."""
-    assert recomputed == golden
+    """Same probes, same decisions; floats within :data:`FLOAT_RTOL`."""
+    _assert_replays(recomputed, golden)
 
 
 def test_selector_choice_matches_golden_winner(golden):

@@ -1,27 +1,31 @@
-"""Fused ingest engine: equivalence, precision tiers, and plumbing.
+"""The one ingest path against the staged oracle.
 
-The load-bearing contract of :class:`repro.pipeline.ingest.FusedIngest`
-is *bit-identity*: on the default float64 tier, one fused sweep must
-leave the sketch in exactly the state the staged chain
-(``guard.screen`` → ``Preprocessor.apply_flat`` → ``partial_fit``)
-would, for any preprocessor configuration, any batch split, and any mix
-of clean/corrupt frames.  The hypothesis suite here locks that property;
-the float32 tier is held to the FD covariance bound instead.
+The load-bearing contract of the preprocessing kernel
+(:meth:`repro.pipeline.preprocess.Preprocessor.rows_into`) is
+*bit-identity*: on the default float64 tier, ``Preprocessor.apply_flat``
+and the fused sweep behind ``MonitoringPipeline.consume`` must produce
+exactly the rows of the staged whole-stack chain kept in
+``tests/staged_oracle.py``, and a pipeline must leave its sketch in
+exactly the state an oracle-driven run would — for any preprocessor
+configuration, input dtype, batch split and mix of clean/corrupt
+frames, guarded or not, with or without priority sampling, retaining
+rows or latents.  The hypothesis suite here locks that property; the
+float32 tier is held to the FD covariance bound instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from staged_oracle import staged_apply_flat
 
 from repro.core.arams import ARAMS, ARAMSConfig
 from repro.core.errors import covariance_error
-from repro.core.frequent_directions import FrequentDirections
 from repro.obs.registry import NullRegistry, Registry
-from repro.pipeline.guard import FrameGuard, GuardConfig
-from repro.pipeline.ingest import FusedIngest, IngestResult
+from repro.pipeline.guard import FrameGuard
+from repro.pipeline.ingest import FusedIngest
 from repro.pipeline.monitor import MonitoringPipeline
 from repro.pipeline.preprocess import Preprocessor
 
@@ -30,6 +34,14 @@ COMMON = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+#: The oracle suites draw many independent knobs (dtype, corruption,
+#: batching, preprocessor, guard, sampling, retention); give them room.
+ORACLE = settings(COMMON, max_examples=150)
+
+DTYPES = ("float64", "float32", "uint16", "int32")
+_GAMMA = np.random.default_rng(0).gamma(2.0, 1.0, size=(20, 8, 8))
+_GAMMA_NAN = _GAMMA.copy()
+_GAMMA_NAN[[2, 11], 3, 4] = np.nan
 
 
 def _fd_state(sk: ARAMS) -> dict:
@@ -45,39 +57,63 @@ def _fd_state(sk: ARAMS) -> dict:
 
 
 def _assert_states_identical(a: dict, b: dict):
-    assert np.array_equal(a["buffer"], b["buffer"])
+    assert a["buffer"].tobytes() == b["buffer"].tobytes()
     for key in ("next_zero", "n_seen", "sf", "n_rotations", "offered"):
         assert a[key] == b[key], key
 
 
 @st.composite
 def image_stream(draw):
-    """A small stream: frames, batch boundaries, and corruption sites."""
-    n = draw(st.integers(12, 60))
+    """A small stream: frames of one dtype, batch boundaries, corruption.
+
+    Frames are float64/float32/uint16/int32; some carry HDR highlights
+    ~1e6 above their background, all-zero frames, NaN pixels or whole
+    NaN frames (float dtypes only), and batches may be single frames.
+    """
+    dtype = np.dtype(draw(st.sampled_from(DTYPES)))
+    n = draw(st.integers(1, 60))
     h = draw(st.integers(6, 14))
     w = draw(st.integers(6, 14))
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     imgs = rng.gamma(2.0, 1.0, size=(n, h, w))
-    # A bright frame exercises the norm-outlier screen; NaN frames
-    # exercise repair (guard off) or quarantine (guard on).
+    if dtype.kind in "iu":
+        imgs = np.round(imgs * 100.0)
+    # A bright frame exercises the norm-outlier screen.
     if draw(st.booleans()):
         imgs[draw(st.integers(0, n - 1))] *= draw(st.floats(10.0, 200.0))
+    # HDR: a few highlights ~1e6 above the frame's background.
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, n - 1))
-        imgs[i, draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = np.nan
-    n_batches = draw(st.integers(1, 4))
-    cuts = sorted(
-        draw(
-            st.lists(
-                st.integers(1, n - 1),
-                min_size=n_batches - 1,
-                max_size=n_batches - 1,
-                unique=True,
+        imgs[i][rng.random((h, w)) < 0.05] *= 1e6
+    for _ in range(draw(st.integers(0, 2))):
+        imgs[draw(st.integers(0, n - 1))] = 0.0
+    if dtype.kind in "iu":
+        imgs = np.minimum(imgs, np.iinfo(dtype).max)
+    imgs = imgs.astype(dtype)
+    # NaN pixels and whole NaN frames exercise repair (guard off) or
+    # quarantine (guard on).
+    if dtype.kind == "f":
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, n - 1))
+            imgs[i, draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = np.nan
+        if draw(st.booleans()):
+            imgs[draw(st.integers(0, n - 1))] = np.nan
+    if n == 1 or draw(st.booleans()):
+        batches = np.split(imgs, n)  # single-frame batches
+    else:
+        n_batches = draw(st.integers(1, min(4, n)))
+        cuts = sorted(
+            draw(
+                st.lists(
+                    st.integers(1, n - 1),
+                    min_size=n_batches - 1,
+                    max_size=n_batches - 1,
+                    unique=True,
+                )
             )
         )
-    )
-    batches = np.split(imgs, cuts)
+        batches = np.split(imgs, cuts)
     return imgs, batches
 
 
@@ -100,117 +136,177 @@ def preprocessor_config(draw, h_max=6, w_max=6):
         normalize=draw(st.sampled_from(["l2", "sum", "max", None])),
         center=draw(st.booleans()),
         crop=crop,
-        repair=True,
+        repair=draw(st.booleans()),
         hot_sigma=None if draw(st.booleans()) else draw(st.floats(3.0, 8.0)),
     )
 
 
-def _staged_run(pre, batches, d, ell, guard_cfg=None, beta=1.0, seed=0):
-    sk = ARAMS(d, ARAMSConfig(ell=ell, beta=beta, seed=seed))
-    guard = FrameGuard(guard_cfg, registry=NullRegistry()) if guard_cfg else None
-    rejected = []
-    for b in batches:
-        if guard is not None:
-            gb = guard.screen(b)
-            rejected.extend(gb.rejected)
-            stack = gb.accepted
-        else:
-            stack = b
-        if stack.shape[0]:
-            sk.partial_fit(pre.apply_flat(stack))
-    return sk, guard, rejected
+def _finite_unless_repaired(pre, imgs, batches):
+    """repair=False is only specified for finite frames."""
+    if pre.repair:
+        return imgs, batches
+    return np.nan_to_num(imgs), [np.nan_to_num(b) for b in batches]
 
 
-def _fused_run(
-    pre, batches, d, ell, guard_cfg=None, beta=1.0, seed=0,
-    precision="float64", keep_rows=False,
-):
-    sk = ARAMS(d, ARAMSConfig(ell=ell, beta=beta, seed=seed, precision=precision))
-    guard = FrameGuard(guard_cfg, registry=NullRegistry()) if guard_cfg else None
-    eng = FusedIngest(
-        sk, pre, guard=guard, registry=NullRegistry(),
-        precision=precision, keep_rows=keep_rows,
+def _pipeline(pre, shape, ell, beta, guard, retain):
+    return MonitoringPipeline(
+        image_shape=shape,
+        preprocessor=pre,
+        sketch=ARAMSConfig(ell=ell, beta=beta, seed=11),
+        guard=guard,
+        retain=retain,
+        registry=NullRegistry(),
     )
-    results = [eng.ingest(b) for b in batches]
-    return sk, guard, eng, results
 
 
-class TestBitIdentityFloat64:
-    """Fused float64 sweep == staged chain, bit for bit."""
+def _oracle_pipeline(pre, batches, shape, ell, beta, guard, retain):
+    """A pipeline whose sketch is fed by the staged oracle, not the sweep.
+
+    Uses the pipeline's own guard, accounting and retention, so the only
+    difference from ``consume`` is how frames become rows.
+    """
+    pipe = _pipeline(pre, shape, ell, beta, guard, retain)
+    for b in batches:
+        images, ids, _ = pipe._admit(b, None)
+        if images.shape[0]:
+            rows = staged_apply_flat(pre, images)
+            sk = pipe._ensure_sketcher(rows.shape[1])
+            sk.partial_fit(rows)
+            pipe._record_batch(rows, ids, sk)
+    return pipe
+
+
+def _outcome(run):
+    """``(result, None)``, or ``(None, "Type: message")`` if ``run`` raised."""
+    try:
+        return run(), None
+    except (ValueError, RuntimeError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+class TestApplyFlatIsTheOracle:
+    """``Preprocessor.apply_flat`` == staged chain, bit for bit."""
+
+    @ORACLE
+    @given(image_stream(), preprocessor_config())
+    def test_every_batch(self, stream, pre):
+        imgs, batches = stream
+        for b in [imgs, *batches]:
+            rows = pre.apply_flat(b)
+            ref = staged_apply_flat(pre, b)
+            assert rows.dtype == ref.dtype == np.float64
+            assert rows.shape == ref.shape
+            assert rows.tobytes() == ref.tobytes()
+
+    def test_many_chunks(self):
+        """Stacks longer than one kernel chunk still match the oracle."""
+        rng = np.random.default_rng(5)
+        imgs = rng.gamma(2.0, 1.0, size=(300, 12, 12))
+        imgs[[3, 140, 299], 4, 4] = np.nan
+        imgs[200] *= 1e6
+        pre = Preprocessor(threshold=0.5, hot_sigma=4.0, crop=(10, 10))
+        assert pre.apply_flat(imgs).tobytes() == staged_apply_flat(pre, imgs).tobytes()
+
+
+class TestPipelineMatchesOracleRun:
+    """Pipelines leave the sketch an oracle-driven run would, bit for bit."""
+
+    @ORACLE
+    @given(
+        image_stream(),
+        preprocessor_config(),
+        st.integers(3, 8),
+        st.booleans(),
+        st.sampled_from([1.0, 0.6]),
+        st.sampled_from(["rows", "latent"]),
+    )
+    # A guarded stream whose hot-pixel clamp has work to do: repair must
+    # run even though the guard certifies every frame finite.
+    @example(
+        stream=(_GAMMA, [_GAMMA[:7], _GAMMA[7:]]),
+        pre=Preprocessor(hot_sigma=3.0),
+        ell=4,
+        guard=True,
+        beta=1.0,
+        retain="rows",
+    )
+    # Unguarded NaN pixels: no certificate, so repair must run.
+    @example(
+        stream=(_GAMMA_NAN, [_GAMMA_NAN[:7], _GAMMA_NAN[7:]]),
+        pre=Preprocessor(),
+        ell=4,
+        guard=False,
+        beta=1.0,
+        retain="rows",
+    )
+    def test_fd_state_guard_and_retention(self, stream, pre, ell, guard, beta, retain):
+        imgs, batches = _finite_unless_repaired(pre, *stream)
+        shape = imgs.shape[1:]
+
+        def consume_all():
+            pipe = _pipeline(pre, shape, ell, beta, guard, retain)
+            for b in batches:
+                pipe.consume(b)
+            return pipe
+
+        pipe, error = _outcome(consume_all)
+        ref, ref_error = _outcome(
+            lambda: _oracle_pipeline(pre, batches, shape, ell, beta, guard, retain)
+        )
+        # Degenerate streams (e.g. only all-zero frames under latent
+        # retention, which has no basis to project through) must fail
+        # the same way on both paths.
+        assert error == ref_error
+        if error is not None:
+            return
+        assert pipe.n_offered == ref.n_offered == imgs.shape[0]
+        assert pipe.n_images == ref.n_images
+        assert pipe.shot_ids == ref.shot_ids
+        if guard:
+            assert pipe.guard.n_accepted == ref.guard.n_accepted
+            assert pipe.guard.reject_counts == ref.guard.reject_counts
+            assert [(q.shot_id, q.reason) for q in pipe.guard.quarantine] == [
+                (q.shot_id, q.reason) for q in ref.guard.quarantine
+            ]
+        if pipe.n_images == 0:
+            return  # everything quarantined; neither built a sketch
+        _assert_states_identical(_fd_state(pipe.sketcher), _fd_state(ref.sketcher))
+        kept = pipe._rows if retain == "rows" else pipe._latents
+        kept_ref = ref._rows if retain == "rows" else ref._latents
+        assert len(kept) == len(kept_ref)
+        for a, b in zip(kept, kept_ref):
+            assert a.tobytes() == b.tobytes()
 
     @COMMON
     @given(image_stream(), preprocessor_config(), st.integers(3, 8))
-    def test_no_guard(self, stream, pre, ell):
-        imgs, batches = stream
-        h, w = imgs.shape[1:]
-        ch, cw = pre.crop if pre.crop else (h, w)
-        d = ch * cw
-        staged, _, _ = _staged_run(pre, batches, d, ell)
-        fused, _, eng, _ = _fused_run(pre, batches, d, ell)
-        _assert_states_identical(_fd_state(staged), _fd_state(fused))
-        # Without keep_rows and with beta=1 every row goes zero-copy.
-        assert eng.n_zero_copy_rows == imgs.shape[0]
-
-    @COMMON
-    @given(image_stream(), preprocessor_config(), st.integers(3, 8))
-    def test_with_guard_including_quarantine(self, stream, pre, ell):
-        imgs, batches = stream
-        h, w = imgs.shape[1:]
-        ch, cw = pre.crop if pre.crop else (h, w)
-        d = ch * cw
-        cfg = GuardConfig(expected_shape=(h, w))
-        staged, g1, rej1 = _staged_run(pre, batches, d, ell, guard_cfg=cfg)
-        fused, g2, eng, results = _fused_run(pre, batches, d, ell, guard_cfg=cfg)
-        _assert_states_identical(_fd_state(staged), _fd_state(fused))
-        # Guard decisions and counters must be indistinguishable.
-        assert g1.n_offered == g2.n_offered == imgs.shape[0]
-        assert g1.n_accepted == g2.n_accepted
-        assert g1.reject_counts == g2.reject_counts
-        rej2 = [r for res in results for r in res.rejected]
-        assert [(r.shot_id, r.reason) for r in rej1] == [
-            (r.shot_id, r.reason) for r in rej2
-        ]
-
-    @COMMON
-    @given(image_stream(), preprocessor_config(), st.integers(3, 8))
-    def test_keep_rows_arena_path(self, stream, pre, ell):
-        imgs, batches = stream
-        h, w = imgs.shape[1:]
-        ch, cw = pre.crop if pre.crop else (h, w)
-        d = ch * cw
-        staged, _, _ = _staged_run(pre, batches, d, ell)
-        fused, _, eng, results = _fused_run(pre, batches, d, ell, keep_rows=True)
-        _assert_states_identical(_fd_state(staged), _fd_state(fused))
-        assert eng.n_zero_copy_rows == 0  # keep_rows forces the arena
-        # The last batch's rows are still valid and match the staged chain.
-        last = batches[-1]
-        assert np.array_equal(results[-1].rows, pre.apply_flat(last))
-
-    @COMMON
-    @given(image_stream(), st.floats(0.3, 0.9), st.integers(3, 8))
-    def test_priority_sampling_rng_parity(self, stream, beta, ell):
-        """beta < 1 falls back to one partial_fit per batch: the
-        sampler must see identical batches and draw identically."""
-        imgs, batches = stream
-        d = imgs.shape[1] * imgs.shape[2]
-        pre = Preprocessor()
-        staged, _, _ = _staged_run(pre, batches, d, ell, beta=beta, seed=11)
-        fused, _, eng, _ = _fused_run(pre, batches, d, ell, beta=beta, seed=11)
-        _assert_states_identical(_fd_state(staged), _fd_state(fused))
-        assert eng.n_zero_copy_rows == 0
+    def test_sweep_returns_the_oracle_rows(self, stream, pre, ell):
+        imgs, batches = _finite_unless_repaired(pre, *stream)
+        ch, cw = pre.output_shape(imgs)
+        sk = ARAMS(ch * cw, ARAMSConfig(ell=ell))
+        eng = FusedIngest(sk, pre, registry=NullRegistry())
+        for b in batches:
+            assert eng.sweep(b).tobytes() == staged_apply_flat(pre, b).tobytes()
 
 
 class TestFloat32Tier:
+    @staticmethod
+    def _sweep(pre, batches, d, ell, precision):
+        sk = ARAMS(d, ARAMSConfig(ell=ell, precision=precision))
+        eng = FusedIngest(sk, pre, registry=NullRegistry())
+        for b in batches:
+            eng.sweep(b)
+        return sk
+
     @COMMON
     @given(image_stream(), st.integers(4, 8))
     def test_within_fd_error_bound(self, stream, ell):
         imgs, batches = stream
-        imgs = np.nan_to_num(imgs)
-        batches = [np.nan_to_num(b) for b in batches]
+        imgs = np.nan_to_num(imgs.astype(np.float64))
+        batches = [np.nan_to_num(b.astype(np.float64)) for b in batches]
         pre = Preprocessor()
         d = imgs.shape[1] * imgs.shape[2]
         ell = min(ell, d)
-        fused, _, _, _ = _fused_run(pre, batches, d, ell, precision="float32")
+        fused = self._sweep(pre, batches, d, ell, "float32")
         a = pre.apply_flat(imgs)
         assert covariance_error(a, fused.sketch) <= np.sum(a * a) / ell * (1 + 1e-9)
 
@@ -218,9 +314,8 @@ class TestFloat32Tier:
         rng = np.random.default_rng(0)
         imgs = rng.gamma(2.0, 1.0, size=(64, 12, 12))
         pre = Preprocessor()
-        d = 144
-        exact, _, _, _ = _fused_run(pre, [imgs], d, 8)
-        fast, _, _, _ = _fused_run(pre, [imgs], d, 8, precision="float32")
+        exact = self._sweep(pre, [imgs], 144, 8, "float64")
+        fast = self._sweep(pre, [imgs], 144, 8, "float32")
         # Same rotations, same structure; values differ only by f32
         # rounding of the frame math.
         assert exact.sketcher.n_rotations == fast.sketcher.n_rotations
@@ -245,83 +340,40 @@ class TestEngineBehavior:
         sk = ARAMS(36, ARAMSConfig(ell=4))
         eng = FusedIngest(sk, pre, registry=NullRegistry())
         with pytest.raises(ValueError, match="repair detector frames"):
-            eng.ingest(imgs)
+            eng.sweep(imgs)
         assert sk.sketcher.n_seen == 0  # nothing half-committed
+        with pytest.raises(ValueError, match="repair detector frames"):
+            ARAMS(36, ARAMSConfig(ell=4)).partial_fit(staged_apply_flat(pre, imgs))
 
     def test_requires_a_sketcher(self):
         eng = FusedIngest(registry=NullRegistry())
         with pytest.raises(ValueError, match="sketcher"):
             eng.sweep(np.ones((2, 4, 4)))
 
-    def test_shot_id_length_mismatch(self):
-        sk = ARAMS(16, ARAMSConfig(ell=4))
-        eng = FusedIngest(sk, Preprocessor(), registry=NullRegistry())
-        with pytest.raises(ValueError, match="shot_ids"):
-            eng.ingest(np.ones((3, 4, 4)), shot_ids=[1, 2])
-
     def test_empty_batch_is_a_noop(self):
         sk = ARAMS(16, ARAMSConfig(ell=4))
         eng = FusedIngest(sk, Preprocessor(), registry=NullRegistry())
-        res = eng.ingest(np.zeros((0, 4, 4)))
-        assert isinstance(res, IngestResult)
-        assert res.n_accepted == 0
+        assert eng.sweep(np.zeros((0, 4, 4))).shape == (0, 16)
         assert sk.sketcher.n_seen == 0
 
     def test_counters_and_spans_flow_to_registry(self):
         reg = Registry()
         rng = np.random.default_rng(0)
-        imgs = rng.gamma(2.0, 1.0, size=(40, 8, 8))
+        imgs = rng.gamma(2.0, 1.0, size=(300, 8, 8))
         sk = ARAMS(64, ARAMSConfig(ell=4))
         eng = FusedIngest(sk, Preprocessor(), registry=reg)
-        eng.ingest(imgs)
+        eng.sweep(imgs)
         labels = {"precision": "float64"}
-        assert reg.get_sample("fused_frames_total", labels).value == 40
-        assert reg.get_sample("fused_zero_copy_rows_total", labels).value == 40
-        # The staged-path histograms keep working in fused mode, so
-        # preprocess_time / sketch_time / throughput readers don't care
-        # which ingest path ran.
+        assert reg.get_sample("fused_frames_total", labels).value == 300
+        assert reg.get_sample("fused_chunks_total", labels).value == 3
+        assert eng.n_chunks == 3
+        # The sweep feeds the preprocess/sketch stage histograms that
+        # preprocess_time / sketch_time / throughput readers use.
         from repro.obs.spans import SPAN_HISTOGRAM
 
         for span in ("consume.preprocess", "consume.sketch", "consume.fused"):
             sample = reg.get_sample(SPAN_HISTOGRAM, {"span": span})
             assert sample is not None and sample.count >= 1, span
-
-    def test_fused_writer_gating(self):
-        assert isinstance(
-            ARAMS(16, ARAMSConfig(ell=4)).fused_writer(), FrequentDirections
-        )
-        assert ARAMS(16, ARAMSConfig(ell=4, beta=0.5)).fused_writer() is None
-
-
-class TestReserveCommit:
-    """FD's zero-copy protocol is partial_fit, bit for bit."""
-
-    def test_matches_partial_fit(self):
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((300, 32))
-        ref = FrequentDirections(d=32, ell=4).partial_fit(x)
-        fd = FrequentDirections(d=32, ell=4)
-        pos = 0
-        while pos < x.shape[0]:
-            view = fd.reserve_rows(x.shape[0] - pos)
-            k = view.shape[0]
-            view[...] = x[pos : pos + k]
-            fd.commit_rows(k)
-            pos += k
-        assert np.array_equal(fd._buffer, ref._buffer)
-        assert fd.squared_frobenius == ref.squared_frobenius
-        assert fd.n_seen == ref.n_seen
-        assert fd.n_rotations == ref.n_rotations
-
-    def test_validates_arguments(self):
-        fd = FrequentDirections(d=8, ell=2)
-        with pytest.raises(ValueError):
-            fd.reserve_rows(0)
-        with pytest.raises(ValueError):
-            fd.commit_rows(-1)
-        view = fd.reserve_rows(fd._buffer.shape[0])
-        with pytest.raises(ValueError, match="reservable"):
-            fd.commit_rows(view.shape[0] + 1)
 
 
 class TestPipelineFusedMode:
@@ -331,49 +383,61 @@ class TestPipelineFusedMode:
         imgs[7, 3, 3] = np.nan  # quarantined by the guard
         return imgs
 
-    def _run(self, ingest, retain="rows", precision="float64"):
+    def _run(self, retain="rows", precision="float64"):
         imgs = self._stream()
         pipe = MonitoringPipeline(
             image_shape=(20, 20), seed=0, guard=True, retain=retain,
-            ingest=ingest,
             sketch=ARAMSConfig(ell=8, beta=1.0, seed=0, precision=precision),
         )
         for i in range(0, 150, 50):
             pipe.consume(imgs[i : i + 50], shot_ids=np.arange(i, i + 50))
         return pipe
 
-    def test_sketch_rows_and_ids_identical(self):
-        staged = self._run("staged")
-        fused = self._run("fused")
-        assert np.array_equal(
-            staged.sketcher.sketcher._buffer, fused.sketcher.sketcher._buffer
-        )
-        assert np.array_equal(np.vstack(staged._rows), np.vstack(fused._rows))
-        assert staged.shot_ids == fused.shot_ids
-        assert staged.n_images == fused.n_images == 149
-        assert fused.health_summary()["ingest"]["mode"] == "fused"
-
-    def test_latent_retention_identical(self):
-        staged = self._run("staged", retain="latent")
-        fused = self._run("fused", retain="latent")
-        assert all(
-            np.array_equal(a, b)
-            for a, b in zip(staged._latents, fused._latents)
-        )
+    def test_sketch_rows_and_ids_match_oracle(self):
+        pipe = self._run()
+        imgs = self._stream()
+        guard = FrameGuard(pipe.guard.config, registry=NullRegistry())
+        sk = ARAMS(400, ARAMSConfig(ell=8, beta=1.0, seed=0))
+        rows, ids = [], []
+        for i in range(0, 150, 50):
+            gb = guard.screen(imgs[i : i + 50], shot_ids=np.arange(i, i + 50))
+            rows.append(staged_apply_flat(pipe.preprocessor, gb.accepted))
+            sk.partial_fit(rows[-1])
+            ids.extend(int(s) for s in gb.accepted_ids)
+        assert pipe.sketcher.sketcher._buffer.tobytes() == sk.sketcher._buffer.tobytes()
+        assert np.vstack(pipe._rows).tobytes() == np.vstack(rows).tobytes()
+        assert pipe.shot_ids == ids
+        assert pipe.n_images == 149
+        assert pipe.health_summary()["ingest"]["precision"] == "float64"
 
     def test_retained_rows_survive_arena_reuse(self):
         """Retention must copy out of the engine's reusable arena."""
-        fused = self._run("fused")
+        fused = self._run()
         first = fused._rows[0].copy()
         fused.consume(self._stream()[:50], shot_ids=np.arange(900, 950))
         assert np.array_equal(fused._rows[0], first)
 
+    def test_precision_applies_to_consume(self):
+        fast = self._run(precision="float32")
+        assert fast.health_summary()["ingest"]["precision"] == "float32"
+        assert fast.sketcher.sketcher._buffer.tobytes() != (
+            self._run().sketcher.sketcher._buffer.tobytes()
+        )
+
     def test_timing_views_work_in_fused_mode(self):
-        fused = self._run("fused")
+        fused = self._run()
         assert fused.preprocess_time > 0
         assert fused.sketch_time > 0
         assert np.isfinite(fused.throughput_hz())
 
     def test_ingest_mode_validated(self):
-        with pytest.raises(ValueError, match="ingest"):
-            MonitoringPipeline(image_shape=(8, 8), ingest="overlapped")
+        pipe = MonitoringPipeline(image_shape=(8, 8), ingest="fused")
+        assert not hasattr(pipe, "ingest")
+        for mode in ("staged", "overlapped"):
+            with pytest.raises(ValueError, match="ingest"):
+                MonitoringPipeline(image_shape=(8, 8), ingest=mode)
+
+    def test_shot_id_length_mismatch(self):
+        pipe = MonitoringPipeline(image_shape=(4, 4))
+        with pytest.raises(ValueError, match="shot_ids"):
+            pipe.consume(np.ones((3, 4, 4)), shot_ids=[1, 2])

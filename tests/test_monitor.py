@@ -121,6 +121,24 @@ class TestSharded:
         res = pipe.analyze()
         assert res.embedding.shape == (160, 2)
 
+    def test_sketch_time_is_wall_time(self, beam_images):
+        """The virtual makespan stays out of the wall-clock sketch stage."""
+        from repro.obs.clock import StopWatch
+        from repro.parallel.cost_model import CommCostModel
+
+        images, _ = beam_images
+        pipe = make_pipe()
+        with StopWatch() as sw:
+            pipe.consume_sharded(
+                images[:120], n_ranks=4, cost_model=CommCostModel(alpha=100.0)
+            )
+        assert 0 < pipe.sketch_time < sw.elapsed
+        makespan = pipe.registry.get_sample(
+            "parallel_makespan_seconds", {"strategy": "tree"}
+        )
+        assert makespan.count == 1
+        assert makespan.sum >= 100.0 > sw.elapsed  # alpha per merge message
+
 
 class TestQuality:
     def test_beam_axes_track_physics(self, beam_images):

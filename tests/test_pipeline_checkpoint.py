@@ -222,6 +222,46 @@ class TestGuards:
         assert resumed.sketcher.sketch.tobytes() == ref.sketcher.sketch.tobytes()
 
 
+class TestIngestKeyCompatibility:
+    """Checkpoints from before the single ingest path still resume.
+
+    Older generations carry ``config.ingest`` ("staged" or, before the
+    fused path existed, no key at all); the loader ignores it, because
+    every path produced the same rows, and new checkpoints omit it.
+    """
+
+    def test_new_checkpoints_omit_the_key(self, tmp_path, stream):
+        import json
+
+        gen = save_pipeline_checkpoint(feed(make_pipe(), stream, 0, 40), tmp_path)
+        assert "ingest" not in json.loads((gen / "state.json").read_text())["config"]
+
+    @pytest.mark.parametrize("ingest", ["staged", None])
+    def test_old_generations_resume_bit_identically(self, tmp_path, stream, ingest):
+        import json
+
+        from repro.pipeline.checkpoint import _sha256
+
+        ref = feed(make_pipe(), stream, 0, 200)
+        gen = save_pipeline_checkpoint(feed(make_pipe(), stream, 0, 120), tmp_path)
+        state = json.loads((gen / "state.json").read_text())
+        if ingest is not None:
+            state["config"]["ingest"] = ingest
+        (gen / "state.json").write_text(json.dumps(state, indent=2, sort_keys=True))
+        manifest = json.loads((gen / "MANIFEST.json").read_text())
+        manifest["files"]["state.json"] = {
+            "sha256": _sha256(gen / "state.json"),
+            "bytes": (gen / "state.json").stat().st_size,
+        }
+        (gen / "MANIFEST.json").write_text(json.dumps(manifest))
+
+        resumed = load_pipeline_checkpoint(tmp_path, registry=Registry())
+        assert resumed.registry.get_sample("pipeline_checkpoint_corruptions_total") is None
+        feed(resumed, stream, 120, 200)
+        assert resumed.sketcher.sketch.tobytes() == ref.sketcher.sketch.tobytes()
+        assert resumed.shot_ids == ref.shot_ids
+
+
 def _rewrite_state(gen_dir, payload: bytes = b"{}") -> None:
     """Replace state.json with checksum-valid but unreconstructable JSON."""
     import hashlib

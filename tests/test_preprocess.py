@@ -1,17 +1,18 @@
-"""Unit tests for image preprocessing."""
+"""Unit tests for image preprocessing, all through ``Preprocessor.apply_flat``.
+
+``apply_flat`` runs the one preprocessing kernel every ingest path uses,
+so input rejection and each step's behaviour are checked there.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.pipeline.preprocess import (
-    Preprocessor,
-    center_images,
-    crop_images,
-    normalize_intensity,
-    threshold_intensity,
-)
+from repro.pipeline.preprocess import Preprocessor, repair_dead_pixels
+
+# Single-step chains: everything else off.
+OFF = dict(normalize=None, center=False, repair=False)
 
 
 @pytest.fixture
@@ -19,14 +20,22 @@ def stack(rng):
     return rng.random((5, 16, 16))
 
 
+def run(stack, **config):
+    """apply_flat with ``config`` over the all-off chain, back as (n, h, w)."""
+    pre = Preprocessor(**{**OFF, **config})
+    rows = pre.apply_flat(stack)
+    h, w = pre.crop if pre.crop is not None else stack.shape[1:]
+    return rows.reshape(-1, h, w)
+
+
 class TestThreshold:
     def test_absolute(self, stack):
-        out = threshold_intensity(stack, 0.5)
+        out = run(stack, threshold=0.5)
         assert np.all((out == 0) | (out >= 0.5))
         assert not np.shares_memory(out, stack)
 
     def test_quantile(self, stack):
-        out = threshold_intensity(stack, 0.5, mode="quantile")
+        out = run(stack, threshold=0.5, threshold_mode="quantile")
         # Roughly half of each frame zeroed.
         for i in range(len(stack)):
             frac = np.mean(out[i] == 0)
@@ -34,69 +43,69 @@ class TestThreshold:
 
     def test_quantile_range_checked(self, stack):
         with pytest.raises(ValueError, match="quantile"):
-            threshold_intensity(stack, 1.5, mode="quantile")
+            run(stack, threshold=1.5, threshold_mode="quantile")
 
     def test_unknown_mode(self, stack):
         with pytest.raises(ValueError, match="unknown mode"):
-            threshold_intensity(stack, 0.5, mode="relative")
+            run(stack, threshold=0.5, threshold_mode="relative")
 
     def test_requires_stack(self):
         with pytest.raises(ValueError, match="n, h, w"):
-            threshold_intensity(np.zeros((4, 4)), 0.1)
+            run(np.zeros((4, 4)), threshold=0.1)
 
 
 class TestNormalize:
     def test_sum_mode(self, stack):
-        out = normalize_intensity(stack, "sum")
+        out = run(stack, normalize="sum")
         np.testing.assert_allclose(out.sum(axis=(1, 2)), 1.0)
 
     def test_max_mode(self, stack):
-        out = normalize_intensity(stack, "max")
+        out = run(stack, normalize="max")
         np.testing.assert_allclose(out.max(axis=(1, 2)), 1.0)
 
     def test_l2_mode(self, stack):
-        out = normalize_intensity(stack, "l2")
+        out = run(stack, normalize="l2")
         flat = out.reshape(5, -1)
         np.testing.assert_allclose(np.linalg.norm(flat, axis=1), 1.0)
 
     def test_zero_frame_untouched(self):
         stack = np.zeros((2, 8, 8))
         stack[1] = 1.0
-        out = normalize_intensity(stack, "sum")
+        out = run(stack, normalize="sum")
         assert np.all(out[0] == 0)
 
     def test_unknown_mode(self, stack):
         with pytest.raises(ValueError, match="unknown mode"):
-            normalize_intensity(stack, "l1")
+            run(stack, normalize="l1")
 
 
 class TestCenter:
     def test_centers_off_center_spot(self):
         img = np.zeros((1, 17, 17))
         img[0, 3, 12] = 1.0
-        out = center_images(img)
+        out = run(img, center=True)
         assert out[0, 8, 8] == 1.0
 
     def test_already_centered_unchanged(self):
         img = np.zeros((1, 17, 17))
         img[0, 8, 8] = 1.0
-        out = center_images(img)
+        out = run(img, center=True)
         np.testing.assert_array_equal(out, img)
 
     def test_total_intensity_preserved(self, stack):
-        out = center_images(stack)
+        out = run(stack, center=True)
         np.testing.assert_allclose(
             out.sum(axis=(1, 2)), stack.sum(axis=(1, 2)), rtol=1e-12
         )
 
     def test_zero_frame_passthrough(self):
         img = np.zeros((1, 8, 8))
-        np.testing.assert_array_equal(center_images(img), img)
+        np.testing.assert_array_equal(run(img, center=True), img)
 
     def test_center_of_mass_moved_to_middle(self, rng):
         img = np.zeros((1, 21, 21))
         img[0, 2:6, 14:19] = rng.random((4, 5))
-        out = center_images(img)
+        out = run(img, center=True)
         ys, xs = np.mgrid[:21, :21]
         total = out[0].sum()
         cy = (out[0] * ys).sum() / total
@@ -107,15 +116,15 @@ class TestCenter:
 class TestCrop:
     def test_center_crop(self):
         img = np.arange(36, dtype=float).reshape(1, 6, 6)
-        out = crop_images(img, (2, 2))
+        out = run(img, crop=(2, 2))
         np.testing.assert_array_equal(out[0], [[14, 15], [20, 21]])
 
     def test_full_size_identity(self, stack):
-        np.testing.assert_array_equal(crop_images(stack, (16, 16)), stack)
+        np.testing.assert_array_equal(run(stack, crop=(16, 16)), stack)
 
     def test_too_big_rejected(self, stack):
         with pytest.raises(ValueError, match="crop size"):
-            crop_images(stack, (17, 16))
+            run(stack, crop=(17, 16))
 
 
 class TestChain:
@@ -123,19 +132,27 @@ class TestChain:
         pre = Preprocessor(threshold=0.1, normalize="l2", center=True)
         rows = pre.apply_flat(stack)
         assert rows.shape == (5, 256)
+        assert rows.dtype == np.float64
 
     def test_crop_applied_first(self, stack):
         pre = Preprocessor(crop=(8, 8), normalize=None, center=False)
-        assert pre.apply(stack).shape == (5, 8, 8)
+        assert pre.apply_flat(stack).shape == (5, 64)
 
     def test_disabled_steps_noop(self, stack):
         pre = Preprocessor(threshold=None, normalize=None, center=False)
-        np.testing.assert_array_equal(pre.apply(stack), stack)
+        np.testing.assert_array_equal(pre.apply_flat(stack), stack.reshape(5, -1))
 
     def test_l2_rows_unit_norm(self, stack):
         pre = Preprocessor(normalize="l2", center=False)
         rows = pre.apply_flat(stack)
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0)
+
+    def test_integer_frames_accepted(self, stack):
+        frames = np.round(stack * 1000).astype(np.uint16)
+        pre = Preprocessor(threshold=100.0)
+        np.testing.assert_array_equal(
+            pre.apply_flat(frames), pre.apply_flat(frames.astype(np.float64))
+        )
 
     def test_frozen_config(self):
         pre = Preprocessor()
@@ -144,7 +161,7 @@ class TestChain:
 
 
 class TestDegenerateFrames:
-    """Satellite: zero-variance/all-zero/non-finite frames never become NaN.
+    """Zero-variance/all-zero/non-finite frames never become NaN.
 
     The preprocessor sits behind the guard, but its steps must still be
     total functions — a silent NaN row would poison the one-pass sketch.
@@ -161,31 +178,31 @@ class TestDegenerateFrames:
     def test_normalize_zero_scale_passthrough(self, mode):
         stack = np.zeros((2, 8, 8))
         stack[1] = np.random.default_rng(1).random((8, 8))
-        out = normalize_intensity(stack, mode)
+        out = run(stack, normalize=mode)
         assert np.all(np.isfinite(out))
         np.testing.assert_array_equal(out[0], 0.0)  # untouched, not NaN
 
     def test_normalize_nonfinite_scale_passthrough(self):
         stack = np.ones((1, 8, 8))
         stack[0, 0, 0] = np.inf
-        out = normalize_intensity(stack, "sum")
+        out = run(stack, normalize="sum")
         np.testing.assert_array_equal(out, stack)  # not divided into NaN
 
     def test_center_zero_mass_passthrough(self):
         stack = np.zeros((1, 8, 8))
-        out = center_images(stack)
+        out = run(stack, center=True)
         np.testing.assert_array_equal(out, stack)
 
     def test_center_negative_only_frame(self):
         # Clipped mass is zero even though the frame is not.
         stack = -np.ones((1, 8, 8))
-        out = center_images(stack)
+        out = run(stack, center=True)
         np.testing.assert_array_equal(out, stack)
 
     def test_center_nonfinite_mass_no_crash(self):
         stack = np.ones((1, 8, 8))
         stack[0, 2, 2] = np.inf
-        out = center_images(stack)  # must not crash on int(round(nan))
+        out = run(stack, center=True)  # must not crash on int(round(nan))
         np.testing.assert_array_equal(out, stack)
 
     def test_default_chain_stays_finite_without_repair(self):
@@ -209,8 +226,6 @@ class TestRepairHotPixelStats:
     """
 
     def test_half_dead_uniform_bright_frame_stays_unclamped(self):
-        from repro.pipeline.preprocess import repair_dead_pixels
-
         frame = np.full((1, 10, 10), 100.0)
         frame[0, :6, :] = np.nan  # 60% dead
         out = repair_dead_pixels(frame, hot_sigma=1.5)
@@ -222,8 +237,6 @@ class TestRepairHotPixelStats:
         assert np.all(out[0, :6, :] == 0.0)  # dead pixels filled
 
     def test_genuine_hot_pixel_still_clamped_next_to_dead_ones(self):
-        from repro.pipeline.preprocess import repair_dead_pixels
-
         rng = np.random.default_rng(3)
         frame = rng.normal(1.0, 0.05, (1, 12, 12))
         frame[0, 0, 0] = np.nan
@@ -237,3 +250,11 @@ class TestRepairHotPixelStats:
         keep = np.ones((12, 12), dtype=bool)
         keep[0, 0] = keep[5, 5] = False
         np.testing.assert_array_equal(out[0][keep], frame[0][keep])
+
+    def test_kernel_repairs_with_the_same_stats(self):
+        frame = np.full((1, 10, 10), 100.0)
+        frame[0, :6, :] = np.nan
+        pre = Preprocessor(**{**OFF, "repair": True, "hot_sigma": 1.5})
+        np.testing.assert_array_equal(
+            pre.apply_flat(frame), repair_dead_pixels(frame, hot_sigma=1.5).reshape(1, -1)
+        )

@@ -4,10 +4,12 @@
 Seven tiers, cheapest first, documented in ``docs/ci.md``:
 
 - **Tier 1 — lint + fast tests.**  Byte-compiles every Python file
-  (syntax gate; the container ships no third-party linter) and runs the
-  default pytest selection (``tests/``, which excludes the chaos and
-  guard matrices via ``addopts``).  This is the merge gate every PR
-  must keep green.
+  (syntax gate; the container ships no third-party linter), runs the
+  end-to-end benchmark's self-tests (``benchmarks/e2e``, whose traced
+  repetition fails when a refactor removes a name the harness wraps),
+  then the default pytest selection (``tests/``, which excludes the
+  chaos and guard matrices via ``addopts``).  This is the merge gate
+  every PR must keep green.
 - **Tier 2 — exhaustive matrices.**  The fault-injection chaos grid
   (``-m chaos``) and the stream-corruption guard grid (``-m guard``).
   Slower, still deterministic.
@@ -97,6 +99,10 @@ TIERS: dict[int, tuple[str, tuple[Step, ...]]] = {
                     "benchmarks",
                     "tools",
                 ),
+            ),
+            Step(
+                "e2e-selftest",
+                (sys.executable, "-m", "pytest", "benchmarks/e2e", "-q"),
             ),
             Step("pytest", (sys.executable, "-m", "pytest", "-x", "-q")),
         ),
