@@ -22,6 +22,9 @@ from scipy.spatial import cKDTree
 
 __all__ = ["knn_brute", "knn_tree", "knn_graph"]
 
+#: Distance rows per ``argpartition`` call in :func:`knn_brute`.
+_SELECT_ROWS = 128
+
 
 def _validate(x: np.ndarray, k: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
@@ -45,7 +48,8 @@ def knn_brute(
     k:
         Neighbours per point (self excluded).
     block_size:
-        Query rows per block; memory is ``O(block_size * n)``.
+        Query rows per block; scratch is two ``(block_size, n)`` float64
+        buffers.
     metric:
         ``"euclidean"`` or ``"cosine"`` (distance ``1 - cos``; zero
         rows are treated as orthogonal to everything).
@@ -66,24 +70,37 @@ def knn_brute(
     sq_norms = np.einsum("ij,ij->i", x, x)
     indices = np.empty((n, k), dtype=np.int64)
     distances = np.empty((n, k), dtype=np.float64)
+    # Two block buffers reused for every block: the GEMM output and the
+    # distances built from it, in the order (a + b) - 2G of the one-line
+    # expansion so the bits match it.  The GEMM keeps ``block_size`` rows
+    # (its bits depend on the block height); selection is row-wise, so
+    # its sub-blocks only bound the int64 index scratch.
+    height = min(block_size, n)
+    gram_buf = np.empty((height, n))
+    d2_buf = np.empty((height, n))
     for start in range(0, n, block_size):
         stop = min(start + block_size, n)
-        block = x[start:stop]
+        gram = gram_buf[: stop - start]
+        d2 = d2_buf[: stop - start]
+        np.matmul(x[start:stop], x.T, out=gram)
         if metric == "cosine":
-            d2 = 1.0 - block @ x.T
-            np.maximum(d2, 0.0, out=d2)
+            np.subtract(1.0, gram, out=d2)
         else:
-            # Squared distances via the expansion trick; clamp tiny negatives.
-            d2 = sq_norms[start:stop, None] + sq_norms[None, :] - 2.0 * (block @ x.T)
-            np.maximum(d2, 0.0, out=d2)
-        rows = np.arange(stop - start)
-        d2[rows, np.arange(start, stop)] = np.inf  # exclude self
-        part = np.argpartition(d2, k, axis=1)[:, :k]
-        part_d = np.take_along_axis(d2, part, axis=1)
-        order = np.argsort(part_d, axis=1)
-        indices[start:stop] = np.take_along_axis(part, order, axis=1)
-        sorted_d = np.take_along_axis(part_d, order, axis=1)
-        distances[start:stop] = sorted_d if metric == "cosine" else np.sqrt(sorted_d)
+            # Squared distances via the expansion trick.
+            np.multiply(gram, 2.0, out=gram)
+            np.add(sq_norms[start:stop, None], sq_norms[None, :], out=d2)
+            np.subtract(d2, gram, out=d2)
+        np.maximum(d2, 0.0, out=d2)  # clamp tiny negatives
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf  # exclude self
+        for lo in range(0, stop - start, _SELECT_ROWS):
+            rows = d2[lo : lo + _SELECT_ROWS]
+            at = slice(start + lo, start + lo + rows.shape[0])
+            part = np.argpartition(rows, k, axis=1)[:, :k]
+            part_d = np.take_along_axis(rows, part, axis=1)
+            order = np.argsort(part_d, axis=1)
+            indices[at] = np.take_along_axis(part, order, axis=1)
+            sorted_d = np.take_along_axis(part_d, order, axis=1)
+            distances[at] = sorted_d if metric == "cosine" else np.sqrt(sorted_d)
     return indices, distances
 
 

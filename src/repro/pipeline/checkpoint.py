@@ -228,8 +228,8 @@ def save_pipeline_checkpoint(
         "shot_ids": np.asarray(pipe.shot_ids, dtype=np.int64),
     }
     if pipe.retain == "rows":
-        if pipe._rows:
-            retained["rows"] = np.vstack(pipe._rows)
+        if pipe.n_images:
+            retained["rows"] = pipe.retained_rows
     else:
         for i, part in enumerate(pipe._latents):
             retained[f"latent_{i}"] = part
@@ -419,17 +419,19 @@ def _load_generation(gen_dir: Path, registry: Registry | None) -> MonitoringPipe
 
     with np.load(gen_dir / _RETAINED, allow_pickle=False) as data:
         pipe.shot_ids = [int(s) for s in data["shot_ids"]]
+        # Each read is a fresh array, adopted as is: the rows become the
+        # pipeline's retention block.
         if pipe.retain == "rows":
             if "rows" in data.files:
-                pipe._rows = [data["rows"].copy()]
+                pipe._row_block = data["rows"]
         else:
             parts = sorted(
                 (k for k in data.files if k.startswith("latent_") and k != "latent_basis"),
                 key=lambda k: int(k[len("latent_"):]),
             )
-            pipe._latents = [data[k].copy() for k in parts]
+            pipe._latents = [data[k] for k in parts]
             if "latent_basis" in data.files:
-                pipe._latent_basis = data["latent_basis"].copy()
+                pipe._latent_basis = data["latent_basis"]
     pipe.n_images = int(runtime["n_images"])
     pipe.n_offered = int(runtime["pipeline_n_offered"])
     pipe._next_shot_id = int(runtime["next_shot_id"])

@@ -3,9 +3,12 @@
 :class:`FusedIngest` is how the monitoring pipeline sketches frames.  A
 guard-screened stack goes through the preprocessing kernel
 (:meth:`~repro.pipeline.preprocess.Preprocessor.rows_into`) chunk by
-chunk into a reusable float64 row arena, each processed frame written
-exactly once, and the arena reaches the sketcher in one ``partial_fit``
-per batch, so the priority sampler draws on whole-batch boundaries.
+chunk into a float64 row block, each processed frame written exactly
+once, and the block reaches the sketcher in one ``partial_fit`` per
+batch, so the priority sampler draws on whole-batch boundaries.  The
+block is the caller's ``out`` when given (the monitoring pipeline
+passes the next slot of its retained rows) and a reusable arena
+otherwise.
 
 The guard's certificate by-products travel with the batch: the
 finiteness certificate lets the kernel skip the NaN repair pass and the
@@ -127,6 +130,7 @@ class FusedIngest:
         certified_finite: bool = False,
         nonneg: bool = False,
         norms: np.ndarray | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Fused preprocess + sketch of an already-screened ``(n, h, w)`` stack.
 
@@ -141,12 +145,17 @@ class FusedIngest:
             :meth:`~repro.pipeline.preprocess.Preprocessor.rows_into`;
             ``certified_finite`` also lets the sketcher skip its
             finiteness scan.
+        out:
+            Optional C-contiguous float64 ``(n, d)`` block the rows are
+            written into, in place of the engine's reused arena.  The
+            monitoring pipeline passes the next slot of its retention
+            block, so each retained row is written once.
 
         Returns
         -------
         numpy.ndarray
-            The ``(n, d)`` preprocessed rows: a view of the reused arena,
-            valid until the next sweep.
+            The ``(n, d)`` preprocessed rows: ``out`` when given, else a
+            view of the reused arena, valid until the next sweep.
         """
         sk = sketcher if sketcher is not None else self.sketcher
         if sk is None:
@@ -155,7 +164,7 @@ class FusedIngest:
         ch, cw = pre.output_shape(stack)
         n = int(stack.shape[0])
         if n == 0:
-            return np.zeros((0, ch * cw))
+            return out if out is not None else np.zeros((0, ch * cw))
         # Rows reaching the sketch are finite iff certified or repaired;
         # otherwise run the sketcher's scan upfront over the whole stack,
         # so a corrupt batch raises before anything is committed.
@@ -164,7 +173,7 @@ class FusedIngest:
         ):
             raise ValueError(_NONFINITE_MSG)
 
-        rows = self._arena_rows(n, ch * cw)
+        rows = out if out is not None else self._arena_rows(n, ch * cw)
         stage_seconds = {
             "prep": 0.0,
             "center": 0.0,

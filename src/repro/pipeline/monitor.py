@@ -19,7 +19,11 @@ behind :meth:`~repro.pipeline.preprocess.Preprocessor.rows_into`:
 
 Note on memory: latent projection needs the images themselves (the
 sketch supplies only the basis), so consumed rows are retained by
-default.  For unbounded streams pass ``retain="latent"`` to keep only
+default, once: both ingestion modes write each preprocessed row straight
+into one float64 block that doubles when full, and analysis, snapshot
+publication and checkpoints read it in place through
+:attr:`MonitoringPipeline.retained_rows` (``docs/performance.md``,
+"Memory").  For unbounded streams pass ``retain="latent"`` to keep only
 the small latent coordinates per image, projecting each batch through
 the *current* basis as it arrives.
 
@@ -200,9 +204,9 @@ class MonitoringPipeline:
         FastABOD neighbourhood size.
     retain:
         ``"rows"`` (default) keeps preprocessed rows for exact final
-        projection; ``"latent"`` keeps only per-batch latent coordinates
-        (bounded memory, projection through the basis current at batch
-        time).
+        projection, once, readable as :attr:`retained_rows`;
+        ``"latent"`` keeps only per-batch latent coordinates (bounded
+        memory, projection through the basis current at batch time).
     guard:
         Frame screening in front of the sketch.  ``None``/``False``
         (default) disables it; ``True`` installs a
@@ -299,7 +303,9 @@ class MonitoringPipeline:
         self._analysis: MonitoringResult | None = None
         self._analysis_pca: SketchPCA | None = None
         self._analysis_umap: UMAP | None = None
-        self._rows: list[np.ndarray] = []
+        # retain="rows": a (capacity, d) block whose first n_images rows
+        # are the retained rows (see _retain_slot and retained_rows).
+        self._row_block: np.ndarray | None = None
         self._latents: list[np.ndarray] = []
         # Reference basis for retain="latent": successive sketch bases
         # are Procrustes-aligned to it so per-batch latent coordinates
@@ -409,6 +415,7 @@ class MonitoringPipeline:
             return self  # whole batch quarantined; the sketch sees nothing
         ch, cw = self.preprocessor.output_shape(images)
         sk = self._ensure_sketcher(ch * cw)
+        out = self._retain_slot(images.shape[0], ch * cw)
         if self._fused is None:
             # The pipeline keeps its own guard bookkeeping in _admit and
             # hands the engine the certificates.
@@ -426,23 +433,59 @@ class MonitoringPipeline:
             ),
             nonneg=gb.accepted_nonneg if gb is not None else False,
             norms=gb.accepted_norms if gb is not None else None,
+            out=out,
         )
-        if self.retain == "rows":
-            rows = rows.copy()  # outlive the arena's next-batch reuse
         self._record_batch(rows, ids, sk)
         return self
 
+    def _retain_slot(self, m: int, d: int) -> np.ndarray | None:
+        """Where the next ``m`` rows go: ``None`` unless ``retain="rows"``.
+
+        The slot follows the retained rows in one ``(capacity, d)``
+        block; a full block is replaced by one of ``max(n + m,
+        2 * capacity)`` rows, the only time retained rows are copied.
+        """
+        if self.retain != "rows":
+            return None
+        n = self.n_images
+        block = self._row_block
+        if block is None or block.shape[0] < n + m:
+            capacity = 0 if block is None else block.shape[0]
+            grown = np.empty((max(n + m, 2 * capacity), d))
+            if n:
+                grown[:n] = block[:n]
+            self._row_block = block = grown
+        return block[n : n + m]
+
+    @property
+    def retained_rows(self) -> np.ndarray:
+        """Read-only ``(n_images, d)`` view of the rows kept by ``retain="rows"``.
+
+        Empty in ``retain="latent"`` mode and before any data arrives.
+        """
+        if self._row_block is None:
+            return np.zeros((0, 0))
+        view = self._row_block[: self.n_images]
+        view.flags.writeable = False
+        return view
+
     def _record_batch(self, rows: np.ndarray, ids: np.ndarray, sk: ARAMS) -> None:
-        """Account, retain and publish one sketched batch."""
+        """Retain, account and publish one sketched batch.
+
+        Rows the caller did not write into the retention slot are copied
+        there.
+        """
+        self._retain_batch(rows, sk)
         self.n_images += rows.shape[0]
         self.shot_ids.extend(int(s) for s in ids)
         self._images_counter.inc(rows.shape[0])
-        self._retain_batch(rows, sk)
         self._maybe_publish()
 
     def _retain_batch(self, rows: np.ndarray, sk: ARAMS) -> None:
         if self.retain == "rows":
-            self._rows.append(rows)
+            slot = self._retain_slot(*rows.shape)
+            if not np.may_share_memory(slot, rows):
+                slot[...] = rows
             return
         k = min(self.n_latent, sk.ell)
         basis = sk.basis(k)  # d x k'
@@ -477,9 +520,12 @@ class MonitoringPipeline:
         self._batches_counter.inc()
         if images.shape[0] == 0:
             return self
+        ch, cw = self.preprocessor.output_shape(images)
+        sk = self._ensure_sketcher(ch * cw)
         with self.registry.span("consume.preprocess"):
-            rows = self.preprocessor.apply_flat(images)
-        sk = self._ensure_sketcher(rows.shape[1])
+            rows = self.preprocessor.apply_flat(
+                images, out=self._retain_slot(images.shape[0], ch * cw)
+            )
         runner = DistributedSketchRunner(
             ell=max(sk.ell, self.sketch_config.ell),
             strategy="tree",
@@ -582,7 +628,7 @@ class MonitoringPipeline:
         if max_rows <= 0 or self.n_images == 0:
             return np.zeros((0, k))
         if self.retain == "rows":
-            rows = _stride_sample(self._rows, self.n_images, max_rows)
+            rows = _stride_sample([self.retained_rows], self.n_images, max_rows)
             return rows @ basis
         lat = _stride_sample(self._latents, self.n_images, max_rows)
         ref = self._latent_basis
@@ -641,7 +687,7 @@ class MonitoringPipeline:
         def project_primary():
             pca = SketchPCA(self._sketcher.compact_sketch(), n_components=self.n_latent)
             if self.retain == "rows":
-                latent = pca.transform(np.vstack(self._rows))
+                latent = pca.transform(self.retained_rows)
             else:
                 parts = self._latents
                 width = max(p.shape[1] for p in parts)

@@ -162,17 +162,22 @@ class Preprocessor:
     repair: bool = True
     hot_sigma: float | None = None
 
-    def apply_flat(self, images: np.ndarray) -> np.ndarray:
+    def apply_flat(
+        self, images: np.ndarray, *, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Run the chain on an ``(n, h, w)`` stack; returns ``(n, d)`` float64 rows.
 
         The kernel runs on the exact float64 tier with no certificates,
         so this is what the fused sweep produces for the same frames.
+        ``out`` is an optional C-contiguous float64 ``(n, d)`` block to
+        write the rows into (and return) instead of a fresh array.
         """
         stack = np.asarray(images)
-        ch, cw = self.output_shape(stack)
-        rows = np.empty((stack.shape[0], ch * cw))
-        self.rows_into(stack, rows)
-        return rows
+        if out is None:
+            ch, cw = self.output_shape(stack)
+            out = np.empty((stack.shape[0], ch * cw))
+        self.rows_into(stack, out)
+        return out
 
     def output_shape(self, stack: np.ndarray) -> tuple[int, int]:
         """Frame shape after the crop; rejects non-stacks and oversize crops."""
@@ -201,6 +206,7 @@ class Preprocessor:
     ) -> int:
         """Preprocess ``stack`` into the float64 row block ``out``.
 
+        ``out`` must be a C-contiguous float64 ``(n, ch * cw)`` array.
         Runs the kernel over chunks of :data:`CHUNK_FRAMES` frames and
         returns the number of chunks.  The guard certificates never
         change the result, they only remove passes; ``float32`` selects
@@ -227,6 +233,17 @@ class Preprocessor:
         """
         n = int(stack.shape[0])
         ch, cw = self.output_shape(stack)
+        # Rows are written through a reshaped view of ``out``, which a
+        # non-contiguous block would silently turn into a copy.
+        if (
+            out.shape != (n, ch * cw)
+            or out.dtype != np.float64
+            or not out.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"out must be a C-contiguous float64 array of shape "
+                f"{(n, ch * cw)}, got {out.dtype} {out.shape}"
+            )
         # With a finiteness certificate and no hot-pixel clamp, repair
         # is the identity.
         repair_active = self.repair and (

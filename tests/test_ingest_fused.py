@@ -271,11 +271,13 @@ class TestPipelineMatchesOracleRun:
         if pipe.n_images == 0:
             return  # everything quarantined; neither built a sketch
         _assert_states_identical(_fd_state(pipe.sketcher), _fd_state(ref.sketcher))
-        kept = pipe._rows if retain == "rows" else pipe._latents
-        kept_ref = ref._rows if retain == "rows" else ref._latents
-        assert len(kept) == len(kept_ref)
-        for a, b in zip(kept, kept_ref):
-            assert a.tobytes() == b.tobytes()
+        if retain == "rows":
+            assert pipe.retained_rows.shape == ref.retained_rows.shape
+            assert pipe.retained_rows.tobytes() == ref.retained_rows.tobytes()
+        else:
+            assert len(pipe._latents) == len(ref._latents)
+            for a, b in zip(pipe._latents, ref._latents):
+                assert a.tobytes() == b.tobytes()
 
     @COMMON
     @given(image_stream(), preprocessor_config(), st.integers(3, 8))
@@ -405,17 +407,22 @@ class TestPipelineFusedMode:
             sk.partial_fit(rows[-1])
             ids.extend(int(s) for s in gb.accepted_ids)
         assert pipe.sketcher.sketcher._buffer.tobytes() == sk.sketcher._buffer.tobytes()
-        assert np.vstack(pipe._rows).tobytes() == np.vstack(rows).tobytes()
+        assert pipe.retained_rows.tobytes() == np.vstack(rows).tobytes()
         assert pipe.shot_ids == ids
         assert pipe.n_images == 149
         assert pipe.health_summary()["ingest"]["precision"] == "float64"
 
     def test_retained_rows_survive_arena_reuse(self):
-        """Retention must copy out of the engine's reusable arena."""
+        """A later consume, here one that grows the block, keeps earlier rows."""
         fused = self._run()
-        first = fused._rows[0].copy()
-        fused.consume(self._stream()[:50], shot_ids=np.arange(900, 950))
-        assert np.array_equal(fused._rows[0], first)
+        before = fused.retained_rows
+        first = before.copy()
+        # 149 rows fill 198 of capacity; 50 more force a growth.
+        fused.consume(self._stream()[50:100], shot_ids=np.arange(900, 950))
+        after = fused.retained_rows
+        assert not np.shares_memory(before, after)  # the block was replaced
+        assert after.shape[0] == first.shape[0] + 50
+        assert np.array_equal(after[: first.shape[0]], first)
 
     def test_precision_applies_to_consume(self):
         fast = self._run(precision="float32")

@@ -97,7 +97,7 @@ class TestConsume:
             pipe.consume(images[i : i + 50])
         res = pipe.analyze()
         assert res.embedding.shape == (len(images), 2)
-        assert not pipe._rows  # no raw rows kept
+        assert pipe.retained_rows.size == 0  # no raw rows kept
 
     def test_n_clusters_property(self, beam_images):
         images, _ = beam_images

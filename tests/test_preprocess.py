@@ -154,6 +154,23 @@ class TestChain:
             pre.apply_flat(frames), pre.apply_flat(frames.astype(np.float64))
         )
 
+    def test_rows_written_into_out(self, stack):
+        pre = Preprocessor(threshold=0.1, crop=(12, 12))
+        block = np.full((7, 144), -1.0)
+        rows = pre.apply_flat(stack, out=block[1:6])
+        assert np.shares_memory(rows, block)
+        assert rows.tobytes() == pre.apply_flat(stack).tobytes()
+        assert (block[[0, 6]] == -1.0).all()  # rows outside the slot untouched
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((5, 255)), np.empty((5, 256), np.float32), np.empty((256, 5)).T],
+        ids=["shape", "dtype", "not-c-contiguous"],
+    )
+    def test_malformed_out_rejected(self, stack, out):
+        with pytest.raises(ValueError, match="out must be"):
+            Preprocessor().apply_flat(stack, out=out)
+
     def test_frozen_config(self):
         pre = Preprocessor()
         with pytest.raises(AttributeError):

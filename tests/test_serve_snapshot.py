@@ -56,7 +56,7 @@ def _state_fingerprint(pipe: MonitoringPipeline) -> dict:
         "ell": pipe.sketcher.ell,
         "n_images": pipe.n_images,
         "n_offered": pipe.n_offered,
-        "retained": np.vstack(pipe._rows).tobytes() if pipe._rows else b"",
+        "retained": pipe.retained_rows.tobytes(),
     }
 
 

@@ -8,8 +8,10 @@ Seven tiers, cheapest first, documented in ``docs/ci.md``:
   end-to-end benchmark's self-tests (``benchmarks/e2e``, whose traced
   repetition fails when a refactor removes a name the harness wraps),
   then the default pytest selection (``tests/``, which excludes the
-  chaos and guard matrices via ``addopts``).  This is the merge gate
-  every PR must keep green.
+  chaos and guard matrices via ``addopts``), run to the end without
+  ``-x`` so one failing test cannot hide the ones after it; the step
+  still fails on any failure.  This is the merge gate every PR must
+  keep green.
 - **Tier 2 — exhaustive matrices.**  The fault-injection chaos grid
   (``-m chaos``) and the stream-corruption guard grid (``-m guard``).
   Slower, still deterministic.
@@ -104,7 +106,7 @@ TIERS: dict[int, tuple[str, tuple[Step, ...]]] = {
                 "e2e-selftest",
                 (sys.executable, "-m", "pytest", "benchmarks/e2e", "-q"),
             ),
-            Step("pytest", (sys.executable, "-m", "pytest", "-x", "-q")),
+            Step("pytest", (sys.executable, "-m", "pytest", "-q")),
         ),
     ),
     2: (
