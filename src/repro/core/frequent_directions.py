@@ -320,9 +320,13 @@ class FrequentDirections(SketchBackend):
         this property.  The returned array is a copy; mutating it does
         not affect the sketcher.
         """
+        return self._sketch_view().copy()
+
+    def _sketch_view(self) -> np.ndarray:
+        """The :attr:`sketch` value, uncopied: a buffer view or the cache."""
         if self._next_zero <= self.ell and self._sketch_rows >= self._next_zero:
-            return self._buffer[: self.ell].copy()
-        return self._finalize_pending().copy()
+            return self._buffer[: self.ell]
+        return self._finalize_pending()
 
     def compact_sketch(self) -> np.ndarray:
         """Sketch with exact zero rows removed.
@@ -330,9 +334,9 @@ class FrequentDirections(SketchBackend):
         The paper (Section IV-A.3) stresses that zero rows must not be
         carried into a merge, as they silently waste sketch capacity.
         """
-        b = self.sketch
-        nonzero = np.any(b != 0.0, axis=1)
-        return b[nonzero]
+        b = self._sketch_view()
+        # Boolean indexing returns a fresh array; no defensive copy first.
+        return b[np.any(b != 0.0, axis=1)]
 
     def peek_sketch(self) -> np.ndarray:
         """Current sketch including pending rows, WITHOUT mutating the buffer.
@@ -342,15 +346,19 @@ class FrequentDirections(SketchBackend):
         as a separate method for callers that want to be explicit about
         snapshot semantics.
         """
+        return self._peek_view().copy()
+
+    def _peek_view(self) -> np.ndarray:
+        """Uncopied :meth:`peek_sketch`: zeros, a buffer view or the cache."""
         if self._next_zero == 0:
             return np.zeros((self.ell, self.d), dtype=np.float64)
         if self._next_zero == self._sketch_rows <= self.ell:
-            return self._buffer[: self.ell].copy()
-        return self._finalize_pending().copy()
+            return self._buffer[: self.ell]
+        return self._finalize_pending()
 
     def peek_compact_sketch(self) -> np.ndarray:
         """Non-mutating :meth:`compact_sketch` (see :meth:`peek_sketch`)."""
-        b = self.peek_sketch()
+        b = self._peek_view()
         return b[np.any(b != 0.0, axis=1)]
 
     # ------------------------------------------------------------------

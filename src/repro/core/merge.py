@@ -70,15 +70,19 @@ def shrink_stack(
     :func:`repro.linalg.svd.fd_rotate`); ``"auto"`` picks the Gram fast
     path when the stack is short and wide.
     """
-    stacked = np.vstack(sketches)
-    nonzero = np.any(stacked != 0.0, axis=1)
-    stacked = stacked[nonzero]
-    if stacked.shape[0] == 0:
-        return np.zeros((ell, sketches[0].shape[1]), dtype=np.float64)
-    if stacked.shape[0] <= ell:
-        out = np.zeros((ell, stacked.shape[1]), dtype=np.float64)
-        out[: stacked.shape[0]] = stacked
-        return out
+    keeps = [np.flatnonzero(np.any(b != 0.0, axis=1)) for b in sketches]
+    # Gather the nonzero rows once, straight into the result block
+    # (zero-padded to ``ell`` rows when there is nothing to shrink).
+    # take() writes into ``out`` in place only in "clip" mode ("raise"
+    # stages a copy); the indices are all in range, so nothing clips.
+    m = sum(keep.shape[0] for keep in keeps)
+    stacked = np.zeros((max(m, ell), sketches[0].shape[1]))
+    pos = 0
+    for b, keep in zip(sketches, keeps):
+        np.take(b, keep, axis=0, out=stacked[pos : pos + keep.shape[0]], mode="clip")
+        pos += keep.shape[0]
+    if m <= ell:
+        return stacked
     return fd_rotate(stacked, ell, kernel=kernel).sketch
 
 

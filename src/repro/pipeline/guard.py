@@ -480,8 +480,9 @@ class FrameGuard:
           frames ``mean|x| = |sum|/n`` makes
           ``max|x| <= hot_sigma * mean|x|`` (zero hot pixels) checkable
           without an `abs` pass;
-        - frames with zeros or mixed signs get exact vectorized subset
-          checks instead of a fallback.
+        - frames with zeros or mixed signs get exact subset checks, one
+          row at a time (no copy of the suspect rows), instead of a
+          fallback.
 
         The norm-outlier screen stays sequential (the window evolves
         with each accepted norm) but runs in segments: between two
@@ -550,18 +551,19 @@ class FrameGuard:
                     rescued_norms = sub_norms
         clean &= sumsq > cfg.min_energy
         # Dead-pixel rule: rows that may contain zeros get an exact count.
+        # The subset checks go row by row: fancy-indexing the suspect rows
+        # would copy them, and beam frames all contain zero pixels.
         may_have_zero = clean & ~((mins > 0.0) | (maxs < 0.0))
         if may_have_zero.any():
             idx = np.nonzero(may_have_zero)[0]
-            zero_frac = (npix - np.count_nonzero(vals[idx], axis=1)) / npix
+            nonzero = np.array([np.count_nonzero(vals[i]) for i in idx])
+            zero_frac = (npix - nonzero) / npix
             clean[idx] &= zero_frac <= cfg.max_dead_fraction
         # Hot-pixel rule: zero hot pixels iff max|x| <= hot_sigma * mean|x|.
         with np.errstate(invalid="ignore"):
             mean_abs = np.where(mins >= 0.0, sums, -sums) / npix
-            mixed = clean & (mins < 0.0) & (maxs > 0.0)
-            if mixed.any():
-                idx = np.nonzero(mixed)[0]
-                mean_abs[idx] = np.abs(vals[idx]).mean(axis=1, dtype=np.float64)
+            for i in np.nonzero(clean & (mins < 0.0) & (maxs > 0.0))[0]:
+                mean_abs[i] = np.abs(vals[i]).mean(dtype=np.float64)
             max_abs = np.maximum(np.abs(mins), np.abs(maxs))
             clean &= max_abs <= cfg.hot_sigma * mean_abs
         if not clean.all():

@@ -6,9 +6,13 @@ beam profile and its distribution of intensity were the focus of the
 analysis", and crops large-area detector frames before sketching.
 
 :class:`Preprocessor` holds that recipe and runs it as one kernel
-(:meth:`Preprocessor.rows_into`): chunk by chunk, frames are repaired,
-cropped, thresholded and centered in scratch, written exactly once into
-their float64 sketch rows, and normalized there in place.
+(:meth:`Preprocessor.rows_into`): chunk by chunk, frames are cropped,
+upcast, repaired, thresholded and centered in scratch, written exactly
+once into their float64 sketch rows, and normalized there in place.
+Cropping first keeps the scratch at the size of the rows; only the
+hot-pixel clamp (``hot_sigma``), whose median and std are whole-frame
+statistics, repairs full frames before the crop.  Every other step works
+per pixel, so the order never changes a row.
 :meth:`Preprocessor.apply_flat` and the fused ingest sweep
 (:mod:`repro.pipeline.ingest`) both run this kernel, so a frame becomes
 the same row whichever path consumes it.
@@ -31,8 +35,10 @@ __all__ = [
 ]
 
 #: Frames per kernel chunk.  Large enough that per-chunk numpy dispatch
-#: overhead is amortized, small enough that a chunk's scratch (two
-#: frame-stack copies) stays cache-resident for typical LCLS frame sizes.
+#: overhead is amortized, small enough to bound a chunk's scratch: one
+#: ``CHUNK_FRAMES * ch * cw`` stack of the cropped frames in the tier's
+#: dtype (16 MiB at float64 for 128x128 crops, full frames only under the
+#: hot-pixel clamp); it is not cache-resident.
 CHUNK_FRAMES = 128
 
 
@@ -137,7 +143,8 @@ class Preprocessor:
     center:
         Recenter frames on their center of mass.
     crop:
-        Optional ``(h, w)`` center-crop, applied right after repair.
+        Optional ``(h, w)`` center-crop, applied first (after the
+        whole-frame hot-pixel clamp when ``hot_sigma`` is set).
     repair:
         Replace NaN/Inf dead pixels with zero before anything else
         (and clamp hot pixels when ``hot_sigma`` is set).
@@ -208,9 +215,12 @@ class Preprocessor:
 
         ``out`` must be a C-contiguous float64 ``(n, ch * cw)`` array.
         Runs the kernel over chunks of :data:`CHUNK_FRAMES` frames and
-        returns the number of chunks.  The guard certificates never
-        change the result, they only remove passes; ``float32`` selects
-        the approximate tier:
+        returns the number of chunks.  Each chunk is cropped before it
+        is upcast or repaired, so its scratch holds ``ch * cw`` pixels
+        per frame; with ``hot_sigma`` set, repair (whose clamp uses
+        whole-frame statistics) runs on full frames first.  The guard
+        certificates never change the result, they only remove passes;
+        ``float32`` selects the approximate tier:
 
         certified_finite:
             Every pixel is finite (a guard with
@@ -310,28 +320,38 @@ class Preprocessor:
         k, h, w = src.shape
         t0 = now()
         dtype = np.float32 if float32 else np.float64
-        cur = src if src.dtype == dtype else src.astype(dtype)
-        own = cur is not src  # may we mutate `cur` in place?
+        top = (h - ch) // 2
+        left = (w - cw) // 2
+        window = (slice(None), slice(top, top + ch), slice(left, left + cw))
+        # The hot-pixel clamp's median and std are whole-frame
+        # statistics, so only it repairs before the crop; every other
+        # step is per pixel and runs on the window alone.
+        clamp = repair_active and self.hot_sigma is not None
+        cur = src if clamp else src[window]
+        own = cur.dtype != dtype  # may we mutate `cur` in place?
+        if own:
+            cur = cur.astype(dtype)
 
-        if repair_active:
+        if clamp:
             if float32:
                 # The robust-stats clamp is defined in float64 (see
                 # repair_dead_pixels); run it exactly and drop back to
-                # the fast tier after.  This only costs when repair has
-                # real work to do — the certified hot path skips it.
+                # the fast tier after.
                 cur = repair_dead_pixels(
                     cur.astype(np.float64, copy=False), hot_sigma=self.hot_sigma
                 ).astype(np.float32)
             else:
                 cur = repair_dead_pixels(cur, hot_sigma=self.hot_sigma)
+            # A view into scratch we own is still safely mutable.
+            cur = cur[window]
             own = True
-
-        if self.crop is not None:
-            # A view into scratch we own is still safely mutable, so
-            # cropping leaves ownership unchanged.
-            top = (h - ch) // 2
-            left = (w - cw) // 2
-            cur = cur[:, top : top + ch, left : left + cw]
+        elif repair_active and not np.isfinite(cur).all():
+            # Dead-pixel repair alone: zero NaN/Inf in place, copying
+            # first only while `cur` still aliases the caller's frames.
+            if not own:
+                cur = cur.copy()
+                own = True
+            cur[~np.isfinite(cur)] = 0.0
 
         if self.threshold is not None:
             if self.threshold_mode == "absolute":

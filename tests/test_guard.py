@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.arams import ARAMSConfig
 from repro.obs.registry import Registry
@@ -480,3 +482,109 @@ class TestOverflowRescue:
         assert batch.n_accepted == 7
         assert [str(q.reason) for q in batch.rejected] == ["non_finite"]
         assert [q.shot_id for q in batch.rejected] == [3]
+
+
+@st.composite
+def screening_stream(draw):
+    """A guard configuration and a short stream of batches to screen.
+
+    Frames are non-negative or mixed-sign, and all of them hold zero
+    pixels.  Per batch, either every frame keeps its dead (zero) pixel
+    count at or just under the limit and its planted pixels just under
+    the hot threshold, or frames are pushed just over those limits, so
+    the vectorized screen certifies some batches and hands others to
+    the per-frame chain.  A bright frame exercises the norm screen.
+    """
+    dtype = np.dtype(draw(st.sampled_from(["float64", "float32", "int32"])))
+    h, w = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    npix = h * w
+    config = GuardConfig(
+        max_dead_fraction=draw(st.sampled_from([0.05, 0.2, 0.5])),
+        hot_sigma=draw(st.floats(2.0, 8.0)),
+        max_hot_fraction=draw(st.sampled_from([0.0, 0.05])),
+        norm_sigma=draw(st.sampled_from([None, 3.0, 10.0])),
+        norm_window=draw(st.sampled_from([4, 256])),
+        norm_warmup=draw(st.integers(0, 8)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dead_limit = int(np.floor(config.max_dead_fraction * npix))
+    batches = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 12))
+        within = draw(st.booleans())
+        mixed = rng.random(n) < draw(st.floats(0.0, 1.0))
+        frames = np.where(
+            mixed[:, None, None],
+            rng.normal(0.0, 1.0, (n, h, w)),
+            rng.gamma(2.0, 1.0, (n, h, w)),
+        )
+        if dtype.kind == "i":
+            frames = np.round(frames * 50.0)
+        for f in frames.reshape(n, npix):
+            over = not within and rng.random() < 0.5
+            dead = dead_limit + 1 if over else dead_limit - int(rng.integers(2))
+            f[rng.choice(npix, min(npix, max(1, dead)), replace=False)] = 0.0
+            for j in rng.choice(npix, int(rng.integers(0, 3)), replace=False):
+                scale = rng.uniform(1.05, 2.0) if over else rng.uniform(0.5, 0.95)
+                f[j] = np.round(scale * config.hot_sigma * np.abs(f).mean())
+        if draw(st.booleans()):
+            frames[draw(st.integers(0, n - 1))] *= 20.0
+        batches.append(frames.astype(dtype))
+    if draw(st.booleans()):
+        total = sum(b.shape[0] for b in batches)
+        ids = np.cumsum(rng.integers(1, 4, total)).tolist()
+    else:
+        ids = None
+    return config, batches, ids
+
+
+class TestVectorizedMatchesChain:
+    """``_screen_stack`` decides exactly as the per-frame rule chain.
+
+    The same stream is screened as ``(n, h, w)`` arrays (the vectorized
+    path, which falls back to the chain only for frames it cannot
+    certify) and as lists of frames (always the chain) by two fresh
+    guards.  The norm windows agree bit for bit on frames this small;
+    on float64 frames of 128x128 and up the stack and per-frame norm
+    reductions can differ in the last ULP.
+    """
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(screening_stream())
+    def test_same_decisions_and_state(self, stream):
+        config, batches, ids = stream
+        fast = FrameGuard(config, registry=Registry())
+        chain = FrameGuard(config, registry=Registry())
+        pos = 0
+        for frames in batches:
+            sid = None if ids is None else ids[pos : pos + frames.shape[0]]
+            pos += frames.shape[0]
+            a = fast.screen(frames, sid)
+            b = chain.screen(list(frames), sid)
+            assert a.accepted_ids.tolist() == b.accepted_ids.tolist()
+            assert a.accepted.shape == b.accepted.shape
+            assert a.accepted.tobytes() == b.accepted.tobytes()
+            assert [(q.shot_id, q.reason, q.detail) for q in a.rejected] == [
+                (q.shot_id, q.reason, q.detail) for q in b.rejected
+            ]
+
+        def counts(guard):
+            summary = guard.summary()
+            del summary["norm_median"], summary["norm_mad"]
+            return summary
+
+        assert counts(fast) == counts(chain)
+        np.testing.assert_array_equal(fast.norm_scale(), chain.norm_scale())
+        for name in (
+            "frames_offered_total",
+            "frames_accepted_total",
+            "shots_missing_total",
+        ):
+            assert (
+                fast.registry.get_sample(name).value
+                == chain.registry.get_sample(name).value
+            )

@@ -208,6 +208,66 @@ class TestApplyFlatIsTheOracle:
         assert pre.apply_flat(imgs).tobytes() == staged_apply_flat(pre, imgs).tobytes()
 
 
+def _dead_pixels_around_crop(dtype):
+    """Frames whose NaN/Inf pixels sit inside and outside a (6, 8) crop.
+
+    The crop window of a 10x12 frame is rows 2-7, columns 2-9.
+    """
+    imgs = np.random.default_rng(3).gamma(2.0, 1.0, size=(10, 10, 12)).astype(dtype)
+    imgs[0, 4, 5] = np.nan  # inside
+    imgs[1, 0, 0] = np.nan  # outside
+    imgs[2, 3, 9] = np.inf  # inside, on the window edge
+    imgs[3, 9, 11] = -np.inf  # outside
+    imgs[4, :, 0] = np.nan  # a dead column outside
+    imgs[4, 7, 2] = -np.inf  # and a pixel inside
+    imgs[5, 2:8, 2:10] = np.nan  # the whole window
+    imgs[6] = np.inf  # the whole frame
+    return imgs
+
+
+class TestCropBeforeRepair:
+    """Without a hot-pixel clamp the kernel crops, then repairs the window.
+
+    Dead pixels outside the window must not reach a row, and those
+    inside become zeros exactly as the staged repair-then-crop chain
+    makes them.
+    """
+
+    PRES = [
+        Preprocessor(crop=(6, 8)),
+        Preprocessor(threshold=0.5, crop=(6, 8)),
+        Preprocessor(
+            threshold=0.3,
+            threshold_mode="quantile",
+            normalize="sum",
+            center=False,
+            crop=(6, 8),
+        ),
+    ]
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("pre", PRES)
+    def test_exact_tier_is_the_oracle(self, dtype, pre):
+        imgs = _dead_pixels_around_crop(dtype)
+        given_bytes = imgs.tobytes()
+        ref = staged_apply_flat(pre, imgs)
+        assert np.isfinite(ref).all()
+        assert pre.apply_flat(imgs).tobytes() == ref.tobytes()
+        eng = FusedIngest(ARAMS(48, ARAMSConfig(ell=4)), pre, registry=NullRegistry())
+        assert eng.sweep(imgs).tobytes() == ref.tobytes()
+        assert imgs.tobytes() == given_bytes  # repaired in scratch, not in place
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("pre", PRES)
+    def test_float32_tier_within_tolerance(self, dtype, pre):
+        imgs = _dead_pixels_around_crop(dtype)
+        sk = ARAMS(48, ARAMSConfig(ell=4, precision="float32"))
+        rows = FusedIngest(sk, pre, registry=NullRegistry()).sweep(imgs)
+        # The tier's declared error: ~1e-7 relative per pixel.
+        ref = staged_apply_flat(pre, imgs)
+        np.testing.assert_allclose(rows, ref, rtol=1e-6, atol=0)
+
+
 class TestPipelineMatchesOracleRun:
     """Pipelines leave the sketch an oracle-driven run would, bit for bit."""
 
