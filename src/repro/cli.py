@@ -137,13 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative covariance-error target for --backend auto "
              "(default: select on accuracy alone)",
     )
-    mon.add_argument(
-        "--precision", choices=["float64", "float32"], default="float64",
-        help="ingest frame-math tier: float64 is exact, float32 halves "
-             "frame-math memory traffic (sketch accumulation stays "
-             "float64; error is far below the FD bound; see "
-             "docs/performance.md)",
-    )
     mon.add_argument("--csv", type=str, default=None, help="export embedding CSV")
     mon.add_argument("--html", type=str, default=None,
                      help="write an interactive HTML report (Bokeh-style)")
@@ -475,9 +468,6 @@ def _sketch_kwargs(args: argparse.Namespace) -> dict:
         kwargs["epsilon"] = None
         kwargs["backend"] = backend
         kwargs["target_error"] = getattr(args, "target_error", None)
-    precision = getattr(args, "precision", "float64")
-    if precision != "float64":
-        kwargs["precision"] = precision
     return kwargs
 
 
@@ -572,7 +562,6 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     print(f"sketch         : ell={pipe.sketcher.ell} (started {args.ell}), "
           f"beta={args.beta}, epsilon={args.epsilon}")
     print(f"backend        : {_describe_backend(pipe.sketcher)}")
-    print(f"ingest path    : fused ({pipe.sketch_config.precision} frame math)")
     print(f"ingest rate    : {pipe.throughput_hz():.1f} Hz")
     print(f"total wall time: {total:.1f}s "
           f"({', '.join(f'{k}={v:.2f}s' for k, v in result.timings.items())})")

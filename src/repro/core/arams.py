@@ -79,17 +79,6 @@ class ARAMSConfig:
     target_error:
         Relative covariance-error target for ``backend="auto"``
         selection; ``None`` selects purely on accuracy.
-    precision:
-        Frame-math precision tier of the fused ingest sweep every
-        :meth:`~repro.pipeline.monitor.MonitoringPipeline.consume` runs
-        (see :mod:`repro.pipeline.ingest`).  ``"float64"`` (default)
-        keeps every preprocessing pass in double precision and yields
-        the rows of ``Preprocessor.apply_flat`` bit for bit;
-        ``"float32"`` runs the per-frame passes in single precision
-        (half the memory traffic) and upcasts once on the final write
-        into the float64 rows, trading ~1e-7 relative per-pixel error —
-        far below the FD bound ``||A||_F^2 / ell`` — for throughput.
-        Sketch accumulation itself is always float64.
     """
 
     ell: int = 50
@@ -105,13 +94,8 @@ class ARAMSConfig:
     rotation_kernel: str = "auto"
     backend: str = "fd"
     target_error: float | None = None
-    precision: str = "float64"
 
     def __post_init__(self) -> None:
-        if self.precision not in ("float64", "float32"):
-            raise ValueError(
-                f"precision must be 'float64' or 'float32', got {self.precision!r}"
-            )
         if not 0.0 < self.beta <= 1.0:
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
         if self.rotation_kernel not in ROTATION_KERNELS:

@@ -369,6 +369,9 @@ def _load_generation(gen_dir: Path, registry: Registry | None) -> MonitoringPipe
     sketch_cfg = dict(config["sketch"])
     if sketch_cfg.get("max_ell") is not None:
         sketch_cfg["max_ell"] = int(sketch_cfg["max_ell"])
+    # Older generations name a frame-math tier; only float64 exists now,
+    # so a float32 checkpoint resumes on float64 rows.
+    sketch_cfg.pop("precision", None)
     guard_cfg = config.get("guard")
     # Older generations carry an "ingest" key naming a path that no
     # longer exists; every path produced the same rows, so it is ignored.

@@ -250,20 +250,16 @@ class GuardBatch:
     pixel values untouched; ``rejected`` lists this batch's quarantine
     entries (they are also in the guard's ring).
 
-    When the vectorized fast path certified the batch, it also exports
-    the by-products of its certificate reductions so downstream
-    consumers (the fused ingest engine) never recompute them:
-    ``accepted_norms`` holds each accepted frame's L2 norm and
-    ``accepted_nonneg`` certifies that every accepted pixel is >= 0.
-    Both stay at their defaults when the per-frame fallback screened the
-    batch.
+    When the vectorized fast path certified the batch, its min
+    reduction also exports ``accepted_nonneg``: every accepted pixel is
+    >= 0, so the fused ingest engine can skip its negative-pixel clip.
+    It stays ``False`` when the per-frame fallback screened the batch.
     """
 
     accepted: np.ndarray
     accepted_ids: np.ndarray
     offered: int
     rejected: list[QuarantinedFrame] = field(default_factory=list)
-    accepted_norms: np.ndarray | None = None
     accepted_nonneg: bool = False
 
     @property
@@ -277,16 +273,36 @@ class GuardBatch:
 
 _STATE_VERSION = 1
 
-def _rescaled_norm(values: np.ndarray) -> float:
-    """L2 norm of an all-finite frame whose squared-norm reduction overflowed.
+#: Pixels per column block of the squared-norm reduction.  Frames of up
+#: to 64x64 pixels reduce in one block.
+_NORM_BLOCK = 4096
+
+
+def _sumsq(flat: np.ndarray) -> np.ndarray:
+    """Per-row squared L2 norms of ``(n, npix)`` pixels, in float64.
+
+    Both screening paths reduce through here, so a frame's norm is the
+    same whether it arrives alone or inside a stack: a whole-row einsum
+    groups its partial sums differently with the row count (rows of
+    128x128 float64 pixels differ in the last ULP), while fixed column
+    blocks summed in block order do not.
+    """
+    out = np.zeros(flat.shape[0])
+    for start in range(0, flat.shape[1], _NORM_BLOCK):
+        block = flat[:, start : start + _NORM_BLOCK]
+        out += np.einsum("ij,ij->i", block, block, dtype=np.float64)
+    return out
+
+
+def _rescaled_norms(rows: np.ndarray) -> np.ndarray:
+    """L2 norms of all-finite float64 rows whose squared norms overflowed.
 
     Factoring out ``m = max|x|`` keeps every intermediate below 1, so the
     result ``m * ||x / m||`` is finite whenever the true norm is
     representable (it always is: ``||x|| <= m * sqrt(npix)``).
     """
-    m = float(np.max(np.abs(values)))
-    scaled = values / m
-    return m * float(np.sqrt(np.einsum("ij,ij->", scaled, scaled)))
+    m = np.max(np.abs(rows), axis=1)
+    return m * np.sqrt(_sumsq(rows / m[:, None]))
 
 
 # Accepted frames between refreshes of the cached robust norm scale.
@@ -522,7 +538,7 @@ class FrameGuard:
         # frames that copy doubles the guard's memory traffic).  Each
         # element upcasts to float64 exactly inside the reduction, so
         # the certificates are bit-identical to the cast-first path.
-        sumsq = np.einsum("ij,ij->i", flat, flat, dtype=np.float64)
+        sumsq = _sumsq(flat)
         mins = flat.min(axis=1).astype(np.float64)
         maxs = flat.max(axis=1).astype(np.float64)
         sums = flat.sum(axis=1, dtype=np.float64)
@@ -542,9 +558,7 @@ class FrameGuard:
             suspect = np.nonzero(~clean)[0]
             sub = vals[suspect].astype(np.float64, copy=False)
             if bool(np.isfinite(sub).all()):
-                m = np.max(np.abs(sub), axis=1)
-                scaled = sub / m[:, None]
-                sub_norms = m * np.sqrt(np.einsum("ij,ij->i", scaled, scaled))
+                sub_norms = _rescaled_norms(sub)
                 if bool(np.isfinite(sub_norms).all()):
                     clean[suspect] = True
                     rescued_idx = suspect
@@ -658,7 +672,6 @@ class FrameGuard:
                 accepted_ids=id_arr,
                 offered=n,
                 rejected=rejected,
-                accepted_norms=norms,
                 accepted_nonneg=nonneg,
             )
         kept = id_arr[accept]
@@ -668,7 +681,6 @@ class FrameGuard:
             accepted_ids=kept,
             offered=n,
             rejected=rejected,
-            accepted_norms=norms[accept],
             accepted_nonneg=nonneg,
         )
 
@@ -721,7 +733,8 @@ class FrameGuard:
                     f"({frac:.3g} > {cfg.max_nonfinite_fraction:.3g})",
                 )
             values = np.where(finite, values, 0.0)  # screen the rest on the finite part
-        energy = float(np.einsum("ij,ij->", values, values))
+        row = values.reshape(1, -1)
+        energy = float(_sumsq(row)[0])
         norm: float | None = None
         if not np.isfinite(energy):
             # Every pixel is finite here (the non-finite rule ran above),
@@ -729,7 +742,7 @@ class FrameGuard:
             # overflowed for a high-dynamic-range frame.  Rescale by
             # max|x| to recover the true (finite) L2 norm; energy stays
             # inf, which still clears the zero-energy rule below.
-            norm = _rescaled_norm(values)
+            norm = float(_rescaled_norms(row)[0])
         if energy <= cfg.min_energy:
             return (
                 RejectReason.ZERO_ENERGY,
@@ -775,14 +788,14 @@ class FrameGuard:
 
     def _observe_norm(self, frame: np.ndarray) -> None:
         values = frame.astype(np.float64, copy=False)
-        values = np.where(np.isfinite(values), values, 0.0)
-        sumsq = np.einsum("ij,ij->", values, values)
+        row = np.where(np.isfinite(values), values, 0.0).reshape(1, -1)
+        sumsq = _sumsq(row)[0]
         if np.isfinite(sumsq):
             norm = float(np.sqrt(sumsq))
         else:
             # Reduction overflow on a finite high-dynamic-range frame; a
             # raw sqrt would store inf and poison the window median/MAD.
-            norm = _rescaled_norm(values)
+            norm = float(_rescaled_norms(row)[0])
         self._norms.append(norm)
         self._norms_since_refresh += 1
         if len(self._norms) > self.config.norm_window:

@@ -12,27 +12,12 @@ otherwise.
 
 The guard's certificate by-products travel with the batch: the
 finiteness certificate lets the kernel skip the NaN repair pass and the
-sketcher skip its own finiteness scan, the ``min >= 0`` certificate lets
-centering skip the negative-pixel clip, and on the float32 tier the
-guard's squared-norm reduction feeds ``normalize="l2"`` directly.
-
-Two precision tiers, selected by ``ARAMSConfig.precision``:
-
-``"float64"`` (default)
-    Every pass runs in double precision.  The rows are bit-identical to
-    :meth:`~repro.pipeline.preprocess.Preprocessor.apply_flat` and to
-    the staged whole-stack chain kept as the oracle in
-    ``tests/staged_oracle.py`` — locked by the hypothesis suite in
-    ``tests/test_ingest_fused.py``.
-
-``"float32"``
-    Frame math (repair/threshold/centroids) runs in single precision —
-    half the memory traffic — and each frame is upcast exactly once as
-    the centering gather writes it into the float64 row arena.  Sketch
-    accumulation itself stays float64.  The ~1e-7 relative per-pixel
-    error is orders of magnitude below the FD guarantee
-    ``||A^T A - B^T B||_2 <= ||A||_F^2 / ell`` and is gated by the FD
-    error-bound tests.
+sketcher skip its own finiteness scan, and the ``min >= 0`` certificate
+lets centering skip the negative-pixel clip.  Every pass runs in double
+precision, so the rows are bit-identical to
+:meth:`~repro.pipeline.preprocess.Preprocessor.apply_flat` and to the
+staged whole-stack chain kept as the oracle in ``tests/staged_oracle.py``
+— locked by the hypothesis suite in ``tests/test_ingest_fused.py``.
 
 Observability: the sweep runs under a ``consume.fused`` span, per-stage
 seconds feed the ``consume.preprocess`` / ``consume.sketch`` histograms
@@ -50,10 +35,7 @@ from repro.obs.clock import now
 from repro.obs.spans import SPAN_HISTOGRAM
 from repro.pipeline.preprocess import Preprocessor
 
-__all__ = ["FusedIngest", "PRECISIONS"]
-
-#: Frame-math precision tiers (see module docstring).
-PRECISIONS = ("float64", "float32")
+__all__ = ["FusedIngest"]
 
 _NONFINITE_MSG = (
     "rows contain NaN/Inf; repair detector frames first "
@@ -75,9 +57,6 @@ class FusedIngest:
     registry:
         Metric registry for spans/counters; ``None`` uses the process
         default.
-    precision:
-        ``"float64"`` or ``"float32"``; ``None`` reads
-        ``sketcher.config.precision`` (falling back to float64).
     """
 
     def __init__(
@@ -86,7 +65,6 @@ class FusedIngest:
         preprocessor: Preprocessor | None = None,
         *,
         registry=None,
-        precision: str | None = None,
     ):
         self.sketcher = sketcher
         self.preprocessor = (
@@ -97,20 +75,13 @@ class FusedIngest:
 
             registry = get_default_registry()
         self.registry = registry
-        if precision is None:
-            precision = (
-                sketcher.config.precision if sketcher is not None else "float64"
-            )
-        if precision not in PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {PRECISIONS}, got {precision!r}"
-            )
-        self.precision = str(precision)
         self._arena: np.ndarray | None = None
         # Lifetime accounting (mirrored into registry counters).
         self.n_frames = 0
         self.n_chunks = 0
-        labels = {"precision": self.precision}
+        # A constant label: dashboards and the end-to-end benchmark read
+        # these counters by it.
+        labels = {"precision": "float64"}
         self._frames_counter = registry.counter(
             "fused_frames_total",
             labels=labels,
@@ -129,7 +100,6 @@ class FusedIngest:
         *,
         certified_finite: bool = False,
         nonneg: bool = False,
-        norms: np.ndarray | None = None,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Fused preprocess + sketch of an already-screened ``(n, h, w)`` stack.
@@ -140,7 +110,7 @@ class FusedIngest:
             Accepted frames (pixel values untouched by the guard).
         sketcher:
             ARAMS front end; defaults to the engine's bound sketcher.
-        certified_finite, nonneg, norms:
+        certified_finite, nonneg:
             Guard certificates, forwarded to
             :meth:`~repro.pipeline.preprocess.Preprocessor.rows_into`;
             ``certified_finite`` also lets the sketcher skip its
@@ -180,16 +150,12 @@ class FusedIngest:
             "normalize": 0.0,
             "sketch": 0.0,
         }
-        with self.registry.span(
-            "consume.fused", tags={"precision": self.precision}
-        ):
+        with self.registry.span("consume.fused"):
             chunks = pre.rows_into(
                 stack,
                 rows,
                 certified_finite=certified_finite,
                 nonneg=nonneg,
-                norms=norms,
-                float32=self.precision == "float32",
                 stage_seconds=stage_seconds,
             )
             t0 = now()

@@ -229,9 +229,8 @@ class MonitoringPipeline:
         Accepted for compatibility; ``"fused"`` is the only value.
         :meth:`consume` always runs the fused sweep of
         :class:`~repro.pipeline.ingest.FusedIngest`, which reuses the
-        guard's certificates and writes each processed frame exactly
-        once.  ``ARAMSConfig(precision="float32")`` selects its faster
-        approximate tier; the float64 default gives the rows of
+        guard's certificates, writes each processed frame exactly
+        once, and gives the rows of
         :meth:`~repro.pipeline.preprocess.Preprocessor.apply_flat` bit
         for bit (see ``docs/performance.md``).
 
@@ -422,7 +421,6 @@ class MonitoringPipeline:
             self._fused = FusedIngest(
                 preprocessor=self.preprocessor,
                 registry=self.registry,
-                precision=self.sketch_config.precision,
             )
         rows = self._fused.sweep(
             images,
@@ -432,7 +430,6 @@ class MonitoringPipeline:
                 and self.guard.config.max_nonfinite_fraction == 0.0
             ),
             nonneg=gb.accepted_nonneg if gb is not None else False,
-            norms=gb.accepted_norms if gb is not None else None,
             out=out,
         )
         self._record_batch(rows, ids, sk)
@@ -932,7 +929,6 @@ class MonitoringPipeline:
         summary["n_offered"] = self.n_offered
         if self._fused is not None:
             summary["ingest"] = {
-                "precision": self._fused.precision,
                 "frames": self._fused.n_frames,
                 "chunks": self._fused.n_chunks,
             }

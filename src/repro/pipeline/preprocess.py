@@ -36,9 +36,9 @@ __all__ = [
 
 #: Frames per kernel chunk.  Large enough that per-chunk numpy dispatch
 #: overhead is amortized, small enough to bound a chunk's scratch: one
-#: ``CHUNK_FRAMES * ch * cw`` stack of the cropped frames in the tier's
-#: dtype (16 MiB at float64 for 128x128 crops, full frames only under the
-#: hot-pixel clamp); it is not cache-resident.
+#: ``CHUNK_FRAMES * ch * cw`` float64 stack of the cropped frames (16 MiB
+#: for 128x128 crops, full frames only under the hot-pixel clamp); it is
+#: not cache-resident.
 CHUNK_FRAMES = 128
 
 
@@ -174,7 +174,7 @@ class Preprocessor:
     ) -> np.ndarray:
         """Run the chain on an ``(n, h, w)`` stack; returns ``(n, d)`` float64 rows.
 
-        The kernel runs on the exact float64 tier with no certificates,
+        The kernel runs with no certificates, which never change a row,
         so this is what the fused sweep produces for the same frames.
         ``out`` is an optional C-contiguous float64 ``(n, d)`` block to
         write the rows into (and return) instead of a fresh array.
@@ -207,8 +207,6 @@ class Preprocessor:
         *,
         certified_finite: bool = False,
         nonneg: bool = False,
-        norms: np.ndarray | None = None,
-        float32: bool = False,
         stage_seconds: dict | None = None,
     ) -> int:
         """Preprocess ``stack`` into the float64 row block ``out``.
@@ -219,8 +217,7 @@ class Preprocessor:
         is upcast or repaired, so its scratch holds ``ch * cw`` pixels
         per frame; with ``hot_sigma`` set, repair (whose clamp uses
         whole-frame statistics) runs on full frames first.  The guard
-        certificates never change the result, they only remove passes;
-        ``float32`` selects the approximate tier:
+        certificates never change the result, they only remove passes:
 
         certified_finite:
             Every pixel is finite (a guard with
@@ -229,14 +226,6 @@ class Preprocessor:
         nonneg:
             Every pixel is ``>= 0`` (guard min statistics), so centering
             skips its negative-pixel clip.
-        norms:
-            Per-frame L2 norms from the guard's certificate reduction.
-            On the float32 tier with a norm-preserving chain they feed
-            L2 normalization directly, with no second reduction.
-        float32:
-            Run frame math (repair/threshold/centroids) in single
-            precision and upcast once on the write into ``out``.  The
-            ~1e-7 relative per-pixel error is far below the FD bound.
         stage_seconds:
             Optional accumulator of ``prep``/``center``/``normalize``
             seconds.
@@ -259,18 +248,6 @@ class Preprocessor:
         repair_active = self.repair and (
             not certified_finite or self.hot_sigma is not None
         )
-        # Guard-norm reuse: only on the approximate tier (the exact tier
-        # reduces the processed float64 rows), only for L2, and only
-        # when no step between the guard and normalize changes frame
-        # norms (centering is a permutation, so it is norm-safe).
-        use_guard_norms = (
-            float32
-            and norms is not None
-            and self.normalize == "l2"
-            and self.threshold is None
-            and self.crop is None
-            and not repair_active
-        )
         # Non-negativity survives repair (zero fill, downward clamp) and
         # thresholding; an absolute threshold >= 0 even establishes it.
         assume_nonneg = bool(nonneg) or (
@@ -290,8 +267,6 @@ class Preprocessor:
                 cw,
                 repair_active=repair_active,
                 assume_nonneg=assume_nonneg,
-                float32=float32,
-                guard_norms=norms[pos:stop] if use_guard_norms else None,
                 stage_seconds=stage_seconds,
             )
             chunks += 1
@@ -306,20 +281,17 @@ class Preprocessor:
         *,
         repair_active: bool,
         assume_nonneg: bool,
-        float32: bool,
-        guard_norms: np.ndarray | None,
         stage_seconds: dict,
     ) -> None:
         """Preprocess ``src`` frames into the ``(k, ch*cw)`` row block ``dest``.
 
         ``dest`` is float64 and is written exactly once per pixel (by the
         centering gather / final copy); normalization divides it in
-        place.  All work before that final write happens in the tier's
-        dtype on chunk-local scratch.
+        place.  All work before that final write happens on chunk-local
+        scratch.
         """
         k, h, w = src.shape
         t0 = now()
-        dtype = np.float32 if float32 else np.float64
         top = (h - ch) // 2
         left = (w - cw) // 2
         window = (slice(None), slice(top, top + ch), slice(left, left + cw))
@@ -328,20 +300,12 @@ class Preprocessor:
         # step is per pixel and runs on the window alone.
         clamp = repair_active and self.hot_sigma is not None
         cur = src if clamp else src[window]
-        own = cur.dtype != dtype  # may we mutate `cur` in place?
+        own = cur.dtype != np.float64  # may we mutate `cur` in place?
         if own:
-            cur = cur.astype(dtype)
+            cur = cur.astype(np.float64)
 
         if clamp:
-            if float32:
-                # The robust-stats clamp is defined in float64 (see
-                # repair_dead_pixels); run it exactly and drop back to
-                # the fast tier after.
-                cur = repair_dead_pixels(
-                    cur.astype(np.float64, copy=False), hot_sigma=self.hot_sigma
-                ).astype(np.float32)
-            else:
-                cur = repair_dead_pixels(cur, hot_sigma=self.hot_sigma)
+            cur = repair_dead_pixels(cur, hot_sigma=self.hot_sigma)
             # A view into scratch we own is still safely mutable.
             cur = cur[window]
             own = True
@@ -355,15 +319,13 @@ class Preprocessor:
 
         if self.threshold is not None:
             if self.threshold_mode == "absolute":
-                cut = np.full(k, float(self.threshold), dtype=cur.dtype)
+                cut = np.full(k, float(self.threshold))
             elif self.threshold_mode == "quantile":
                 if not 0.0 <= float(self.threshold) <= 1.0:
                     raise ValueError(
                         f"quantile threshold must be in [0, 1], got {self.threshold}"
                     )
-                cut = np.quantile(
-                    cur.reshape(k, -1), float(self.threshold), axis=1
-                ).astype(cur.dtype, copy=False)
+                cut = np.quantile(cur.reshape(k, -1), float(self.threshold), axis=1)
             else:
                 raise ValueError(f"unknown mode {self.threshold_mode!r}")
             if not own:
@@ -376,8 +338,8 @@ class Preprocessor:
         t0 = now()
         if self.center:
             dy, dx = center_shifts(cur, assume_nonneg=assume_nonneg)
-            # The single write: gather each frame — shifted — into the
-            # destination rows, upcasting on the float32 tier.
+            # The single write: gather each frame, shifted, into the
+            # destination rows.
             shift_images_into(dest3d, cur, dy, dx)
         else:
             dest3d[...] = cur
@@ -385,16 +347,7 @@ class Preprocessor:
 
         if self.normalize is not None:
             t0 = now()
-            if guard_norms is not None:
-                scale = np.asarray(guard_norms, dtype=np.float64)
-            elif float32:
-                # Centering permutes pixels, so pre-shift float32 norms
-                # equal post-shift norms; reading the small scratch
-                # avoids a pass over the float64 destination.
-                scale = _scale_of(cur.reshape(k, -1), self.normalize)
-            else:
-                # Exact tier: reduce the processed float64 rows.
-                scale = _scale_of(dest, self.normalize)
+            scale = _scale_of(dest, self.normalize)
             # Frames whose scale is zero or non-finite (all-zero frames,
             # unrepaired Inf pixels, a constant frame whose sum cancels)
             # are left untouched rather than divided into NaNs — a
@@ -407,14 +360,11 @@ class Preprocessor:
 def _scale_of(flat: np.ndarray, mode: str) -> np.ndarray:
     """Per-row normalization scale: ``sum``, ``max`` or ``l2`` norm."""
     if mode == "sum":
-        return np.asarray(flat.sum(axis=1), dtype=np.float64)
+        return flat.sum(axis=1)
     if mode == "max":
-        return np.asarray(flat.max(axis=1), dtype=np.float64)
+        return flat.max(axis=1)
     if mode == "l2":
-        flat = np.ascontiguousarray(flat)
-        return np.asarray(
-            np.sqrt(np.einsum("ij,ij->i", flat, flat)), dtype=np.float64
-        )
+        return np.sqrt(np.einsum("ij,ij->i", flat, flat))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -4,8 +4,8 @@ Each step is a pure whole-stack function that copies the stack, and
 :func:`staged_apply` composes them in the paper's order (repair → crop →
 threshold → center → normalize).  The library computes the same rows
 with one chunked kernel
-(:meth:`repro.pipeline.preprocess.Preprocessor.rows_into`); on the
-float64 tier its output must equal this chain bit for bit, which
+(:meth:`repro.pipeline.preprocess.Preprocessor.rows_into`), and its
+output must equal this chain bit for bit, which
 ``tests/test_ingest_fused.py`` and ``tests/test_preprocess.py`` check
 and ``benchmarks/bench_core.py`` times as the ``staged`` baseline.
 """

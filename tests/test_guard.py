@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.arams import ARAMSConfig
@@ -445,9 +445,9 @@ class TestOverflowRescue:
     the norm on max-rescaled copies of the suspect frames.
     """
 
-    def _hdr_frames(self, n=8, scale=9.0e153, seed=0):
+    def _hdr_frames(self, n=8, scale=9.0e153, seed=0, h=8, w=8):
         rng = np.random.default_rng(seed)
-        return np.abs(rng.normal(1.0, 0.1, (n, 8, 8))) * scale
+        return np.abs(rng.normal(1.0, 0.1, (n, h, w))) * scale
 
     def test_hdr_frames_accepted_not_falsely_non_finite(self):
         frames = self._hdr_frames()
@@ -461,11 +461,22 @@ class TestOverflowRescue:
         assert batch.n_accepted == 8
         assert batch.rejected == []
         np.testing.assert_array_equal(batch.accepted, frames)
-        # The exported norm certificate is finite and correct.
+        # The rescued norms entering the window are finite and correct.
         expected = np.linalg.norm(frames.reshape(8, -1) / 9.0e153, axis=1)
         np.testing.assert_allclose(
-            batch.accepted_norms / 9.0e153, expected, rtol=1e-10
+            np.asarray(guard.state_dict()["norms"]) / 9.0e153, expected, rtol=1e-10
         )
+
+    def test_rescued_norms_independent_of_batching(self):
+        """A 128x128 HDR frame gets one rescued norm, stacked or alone."""
+        frames = self._hdr_frames(n=16, h=128, w=128)
+        stacked = make_guard(norm_sigma=None)
+        chained = make_guard(norm_sigma=None)
+        assert stacked.screen(frames).n_accepted == 16
+        assert chained.screen(list(frames)).n_accepted == 16
+        norms = stacked.state_dict()["norms"]
+        assert np.isfinite(norms).all()
+        assert norms == chained.state_dict()["norms"]
 
     def test_follow_up_batch_unpoisoned(self):
         guard = make_guard(norm_sigma=None)
@@ -496,7 +507,12 @@ def screening_stream(draw):
     the per-frame chain.  A bright frame exercises the norm screen.
     """
     dtype = np.dtype(draw(st.sampled_from(["float64", "float32", "int32"])))
-    h, w = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    h, w = draw(
+        st.one_of(
+            st.tuples(st.integers(2, 12), st.integers(2, 12)),
+            st.sampled_from([(64, 64), (128, 128), (129, 130)]),
+        )
+    )
     npix = h * w
     config = GuardConfig(
         max_dead_fraction=draw(st.sampled_from([0.05, 0.2, 0.5])),
@@ -538,15 +554,20 @@ def screening_stream(draw):
     return config, batches, ids
 
 
+def certified_stream(h, w):
+    """Two batches of clean float64 frames the vectorized screen certifies."""
+    frames = clean_frames(24, h, w, seed=7)
+    return GuardConfig(), [frames[:12], frames[12:]], None
+
+
 class TestVectorizedMatchesChain:
     """``_screen_stack`` decides exactly as the per-frame rule chain.
 
     The same stream is screened as ``(n, h, w)`` arrays (the vectorized
     path, which falls back to the chain only for frames it cannot
     certify) and as lists of frames (always the chain) by two fresh
-    guards.  The norm windows agree bit for bit on frames this small;
-    on float64 frames of 128x128 and up the stack and per-frame norm
-    reductions can differ in the last ULP.
+    guards.  Both paths reduce norms through one helper, so the norm
+    windows agree bit for bit at every frame size.
     """
 
     @settings(
@@ -555,6 +576,10 @@ class TestVectorizedMatchesChain:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(screening_stream())
+    # Every norm comes from a stack reduction on one side and a
+    # per-frame one on the other, at sizes past one reduction block.
+    @example(stream=certified_stream(128, 128))
+    @example(stream=certified_stream(129, 130))
     def test_same_decisions_and_state(self, stream):
         config, batches, ids = stream
         fast = FrameGuard(config, registry=Registry())

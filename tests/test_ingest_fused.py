@@ -2,15 +2,14 @@
 
 The load-bearing contract of the preprocessing kernel
 (:meth:`repro.pipeline.preprocess.Preprocessor.rows_into`) is
-*bit-identity*: on the default float64 tier, ``Preprocessor.apply_flat``
-and the fused sweep behind ``MonitoringPipeline.consume`` must produce
-exactly the rows of the staged whole-stack chain kept in
+*bit-identity*: ``Preprocessor.apply_flat`` and the fused sweep behind
+``MonitoringPipeline.consume`` must produce exactly the rows of the
+staged whole-stack chain kept in
 ``tests/staged_oracle.py``, and a pipeline must leave its sketch in
 exactly the state an oracle-driven run would — for any preprocessor
 configuration, input dtype, batch split and mix of clean/corrupt
 frames, guarded or not, with or without priority sampling, retaining
-rows or latents.  The hypothesis suite here locks that property; the
-float32 tier is held to the FD covariance bound instead.
+rows or latents.  The hypothesis suite here locks that property.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from hypothesis import strategies as st
 from staged_oracle import staged_apply_flat
 
 from repro.core.arams import ARAMS, ARAMSConfig
-from repro.core.errors import covariance_error
 from repro.obs.registry import NullRegistry, Registry
 from repro.pipeline.guard import FrameGuard
 from repro.pipeline.ingest import FusedIngest
@@ -257,16 +255,6 @@ class TestCropBeforeRepair:
         assert eng.sweep(imgs).tobytes() == ref.tobytes()
         assert imgs.tobytes() == given_bytes  # repaired in scratch, not in place
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("pre", PRES)
-    def test_float32_tier_within_tolerance(self, dtype, pre):
-        imgs = _dead_pixels_around_crop(dtype)
-        sk = ARAMS(48, ARAMSConfig(ell=4, precision="float32"))
-        rows = FusedIngest(sk, pre, registry=NullRegistry()).sweep(imgs)
-        # The tier's declared error: ~1e-7 relative per pixel.
-        ref = staged_apply_flat(pre, imgs)
-        np.testing.assert_allclose(rows, ref, rtol=1e-6, atol=0)
-
 
 class TestPipelineMatchesOracleRun:
     """Pipelines leave the sketch an oracle-driven run would, bit for bit."""
@@ -350,48 +338,6 @@ class TestPipelineMatchesOracleRun:
             assert eng.sweep(b).tobytes() == staged_apply_flat(pre, b).tobytes()
 
 
-class TestFloat32Tier:
-    @staticmethod
-    def _sweep(pre, batches, d, ell, precision):
-        sk = ARAMS(d, ARAMSConfig(ell=ell, precision=precision))
-        eng = FusedIngest(sk, pre, registry=NullRegistry())
-        for b in batches:
-            eng.sweep(b)
-        return sk
-
-    @COMMON
-    @given(image_stream(), st.integers(4, 8))
-    def test_within_fd_error_bound(self, stream, ell):
-        imgs, batches = stream
-        imgs = np.nan_to_num(imgs.astype(np.float64))
-        batches = [np.nan_to_num(b.astype(np.float64)) for b in batches]
-        pre = Preprocessor()
-        d = imgs.shape[1] * imgs.shape[2]
-        ell = min(ell, d)
-        fused = self._sweep(pre, batches, d, ell, "float32")
-        a = pre.apply_flat(imgs)
-        assert covariance_error(a, fused.sketch) <= np.sum(a * a) / ell * (1 + 1e-9)
-
-    def test_close_to_exact_tier(self):
-        rng = np.random.default_rng(0)
-        imgs = rng.gamma(2.0, 1.0, size=(64, 12, 12))
-        pre = Preprocessor()
-        exact = self._sweep(pre, [imgs], 144, 8, "float64")
-        fast = self._sweep(pre, [imgs], 144, 8, "float32")
-        # Same rotations, same structure; values differ only by f32
-        # rounding of the frame math.
-        assert exact.sketcher.n_rotations == fast.sketcher.n_rotations
-        np.testing.assert_allclose(
-            fast.sketcher._buffer, exact.sketcher._buffer, rtol=0, atol=1e-5
-        )
-
-    def test_precision_validated(self):
-        with pytest.raises(ValueError, match="precision"):
-            FusedIngest(registry=NullRegistry(), precision="float16")
-        with pytest.raises(ValueError, match="precision"):
-            ARAMSConfig(ell=8, precision="bf16")
-
-
 class TestEngineBehavior:
     def test_nonfinite_without_repair_matches_staged_error(self):
         """repair=False + corrupt frame raises the sketcher's exact
@@ -445,11 +391,11 @@ class TestPipelineFusedMode:
         imgs[7, 3, 3] = np.nan  # quarantined by the guard
         return imgs
 
-    def _run(self, retain="rows", precision="float64"):
+    def _run(self, retain="rows"):
         imgs = self._stream()
         pipe = MonitoringPipeline(
             image_shape=(20, 20), seed=0, guard=True, retain=retain,
-            sketch=ARAMSConfig(ell=8, beta=1.0, seed=0, precision=precision),
+            sketch=ARAMSConfig(ell=8, beta=1.0, seed=0),
         )
         for i in range(0, 150, 50):
             pipe.consume(imgs[i : i + 50], shot_ids=np.arange(i, i + 50))
@@ -470,7 +416,7 @@ class TestPipelineFusedMode:
         assert pipe.retained_rows.tobytes() == np.vstack(rows).tobytes()
         assert pipe.shot_ids == ids
         assert pipe.n_images == 149
-        assert pipe.health_summary()["ingest"]["precision"] == "float64"
+        assert pipe.health_summary()["ingest"] == {"frames": 149, "chunks": 3}
 
     def test_retained_rows_survive_arena_reuse(self):
         """A later consume, here one that grows the block, keeps earlier rows."""
@@ -483,13 +429,6 @@ class TestPipelineFusedMode:
         assert not np.shares_memory(before, after)  # the block was replaced
         assert after.shape[0] == first.shape[0] + 50
         assert np.array_equal(after[: first.shape[0]], first)
-
-    def test_precision_applies_to_consume(self):
-        fast = self._run(precision="float32")
-        assert fast.health_summary()["ingest"]["precision"] == "float32"
-        assert fast.sketcher.sketcher._buffer.tobytes() != (
-            self._run().sketcher.sketcher._buffer.tobytes()
-        )
 
     def test_timing_views_work_in_fused_mode(self):
         fused = self._run()

@@ -226,18 +226,24 @@ class TestIngestKeyCompatibility:
     """Checkpoints from before the single ingest path still resume.
 
     Older generations carry ``config.ingest`` ("staged" or, before the
-    fused path existed, no key at all); the loader ignores it, because
-    every path produced the same rows, and new checkpoints omit it.
+    fused path existed, no key at all) and may name a frame-math tier in
+    ``config.sketch.precision``; the loader ignores both, because every
+    path now produces the float64 rows, and new checkpoints omit them.
     """
 
     def test_new_checkpoints_omit_the_key(self, tmp_path, stream):
         import json
 
         gen = save_pipeline_checkpoint(feed(make_pipe(), stream, 0, 40), tmp_path)
-        assert "ingest" not in json.loads((gen / "state.json").read_text())["config"]
+        config = json.loads((gen / "state.json").read_text())["config"]
+        assert "ingest" not in config
+        assert "precision" not in config["sketch"]
 
+    @pytest.mark.parametrize("precision", [None, "float32", "float64"])
     @pytest.mark.parametrize("ingest", ["staged", None])
-    def test_old_generations_resume_bit_identically(self, tmp_path, stream, ingest):
+    def test_old_generations_resume_bit_identically(
+        self, tmp_path, stream, ingest, precision
+    ):
         import json
 
         from repro.pipeline.checkpoint import _sha256
@@ -247,6 +253,8 @@ class TestIngestKeyCompatibility:
         state = json.loads((gen / "state.json").read_text())
         if ingest is not None:
             state["config"]["ingest"] = ingest
+        if precision is not None:
+            state["config"]["sketch"]["precision"] = precision
         (gen / "state.json").write_text(json.dumps(state, indent=2, sort_keys=True))
         manifest = json.loads((gen / "MANIFEST.json").read_text())
         manifest["files"]["state.json"] = {

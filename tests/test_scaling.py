@@ -57,14 +57,21 @@ class TestHarness:
 
     def test_free_network_isolates_compute(self, data):
         """With zero comm cost the gap is purely the merge critical path."""
-        recs = strong_scaling_study(
-            data, [8], ell=16, cost_model=CommCostModel.free()
-        )
-        tree = next(r for r in recs if r.strategy == "tree")
-        serial = next(r for r in recs if r.strategy == "serial")
-        # Serial merge does 7 sequential SVDs vs tree's 3.  Timing at
-        # this problem size is noisy, so assert the deterministic
-        # critical-path gap plus a loose timing sanity check.
+        runs = [
+            strong_scaling_study(data, [8], ell=16, cost_model=CommCostModel.free())
+            for _ in range(5)
+        ]
+        tree = next(r for r in runs[0] if r.strategy == "tree")
+        serial = next(r for r in runs[0] if r.strategy == "serial")
+        # Serial merge does 7 sequential SVDs vs tree's 3.  Assert the
+        # deterministic critical-path gap plus a loose timing sanity
+        # check; one sub-millisecond sample is too noisy for the latter,
+        # so it compares each strategy's median over the repeated runs.
         assert serial.merge_rotations_critical_path == 7
         assert tree.merge_rotations_critical_path == 3
-        assert serial.merge_time > tree.merge_time * 0.5
+
+        def median_merge_time(strategy):
+            times = [r.merge_time for rs in runs for r in rs if r.strategy == strategy]
+            return float(np.median(times))
+
+        assert median_merge_time("serial") > median_merge_time("tree") * 0.5
