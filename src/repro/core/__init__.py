@@ -38,7 +38,6 @@ from repro.core.rank_adaptive import RankAdaptiveFD, rank_adapt_heuristic
 from repro.core.priority_sampling import PrioritySampler, priority_sample
 from repro.core.arams import ARAMS, ARAMSConfig
 from repro.core.merge import merge_pair, serial_merge, tree_merge, MergeStats
-from repro.core.streaming_stats import StreamingMoments
 from repro.core.forgetting import ForgettingFD
 from repro.core.persistence import load_sketcher, save_sketcher
 from repro.core.baselines import (
@@ -83,7 +82,6 @@ __all__ = [
     "serial_merge",
     "tree_merge",
     "MergeStats",
-    "StreamingMoments",
     "ForgettingFD",
     "save_sketcher",
     "load_sketcher",

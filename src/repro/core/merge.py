@@ -36,7 +36,6 @@ __all__ = [
     "merge_pair",
     "serial_merge",
     "tree_merge",
-    "degraded_tree_merge",
     "shrink_stack",
 ]
 
@@ -195,45 +194,3 @@ def tree_merge(
         out = shrink_stack([out], ell, kernel=kernel)
     return out, stats
 
-
-def degraded_tree_merge(
-    sketches: Sequence[np.ndarray | None],
-    ell: int,
-    arity: int = 2,
-    kernel: str = "auto",
-) -> tuple[np.ndarray, MergeStats, list[int]]:
-    """Tree-merge the *surviving* subset of a partially failed fan-in.
-
-    Entries that are ``None`` (a dead rank's sketch, or one lost in
-    transit) are skipped; the survivors are merged with
-    :func:`tree_merge`.  Because FD sketches are mergeable summaries,
-    the result still satisfies the covariance-error bound — but only
-    with respect to the rows the *surviving* sketches summarize:
-
-        ``||A_s^T A_s - B^T B||_2 <= ||A_s||_F^2 / ell``
-
-    where ``A_s`` stacks the surviving shards.  Dropping a subtree
-    weakens *coverage* (the lost rows are simply absent), never
-    correctness; it also breaks the appendix's equal-magnitude
-    invariant, so the constant degrades gracefully rather than holding
-    exactly — which is why chaos tests check the bound against the
-    surviving rows only.
-
-    Returns
-    -------
-    (sketch, stats, survivors)
-        ``survivors`` lists the indices that contributed.
-
-    Raises
-    ------
-    ValueError
-        If every sketch is missing — there is nothing left to merge,
-        and returning a zero sketch would silently masquerade as data.
-    """
-    survivors = [i for i, s in enumerate(sketches) if s is not None]
-    if not survivors:
-        raise ValueError("all sketches lost; nothing survives to merge")
-    merged, stats = tree_merge(
-        [sketches[i] for i in survivors], ell, arity=arity, kernel=kernel
-    )
-    return merged, stats, survivors

@@ -10,10 +10,11 @@ One registry snapshot, four consumers:
   appending per-run snapshots to a long-lived log;
 - :func:`render_table` — an aligned terminal dashboard for interactive
   runs;
-- :func:`chrome_trace` — span events (and, optionally, the simulated
-  MPI world's :class:`~repro.parallel.trace.TraceRecorder` events) as
-  one Chrome/Perfetto trace, so real pipeline stages and virtual rank
-  schedules are inspected on a single timeline.
+- :func:`chrome_trace` — span events and the
+  :class:`~repro.obs.trace_context.TraceSink` flow points (simulated
+  rank sends/receives/merges, serve queries) as one Chrome/Perfetto
+  trace, so real pipeline stages and virtual rank schedules are
+  inspected on a single timeline.
 """
 
 from __future__ import annotations
@@ -253,30 +254,27 @@ def render_table(registry: Registry, alerts: Iterable = ()) -> str:
 # ----------------------------------------------------------------------
 def chrome_trace(
     spans: Iterable = (),
-    trace_events: Iterable = (),
     span_process: str = "pipeline",
-    trace_process: str = "simulated ranks",
     flow_events: Iterable = (),
     serve_lanes: Iterable = (),
 ) -> dict:
-    """Merge span events and simulated-rank trace events into one trace.
+    """Merge span events and trace-sink flow events into one trace.
 
     Parameters
     ----------
     spans:
         :class:`~repro.obs.spans.SpanEvent` objects (real wall time,
         one virtual thread lane per recording thread).
-    trace_events:
-        :class:`~repro.parallel.trace.TraceEvent`-shaped objects
-        (virtual time, one lane per rank).
-    span_process, trace_process:
-        Process names shown by Perfetto for the two lanes.
+    span_process:
+        Process name shown by Perfetto for the span lanes.
     flow_events:
         Pre-rendered Chrome event dicts — typically
         :meth:`~repro.obs.trace_context.TraceSink.chrome_events` — that
         carry the cross-component flow arrows (``"ph": "s"``/``"f"``)
         and instant markers tying sends to recvs and serve queries to
-        the snapshot epochs they read.
+        the snapshot epochs they read.  Events on pid 2 are drawn on
+        the simulated ranks' lanes (virtual time, lane ``r`` named
+        ``rank r``).
     serve_lanes:
         ``(tid, name)`` pairs naming lanes on the serve process
         (pid 3) so flow endpoints emitted there are labelled.
@@ -289,7 +287,6 @@ def chrome_trace(
     """
     entries: list[dict] = []
     spans = list(spans)
-    trace_events = list(trace_events)
     flow_events = list(flow_events)
     serve_lanes = list(serve_lanes)
 
@@ -322,43 +319,28 @@ def chrome_trace(
                 entry["args"] = args
             entries.append(entry)
 
-    if trace_events:
-        ranks = sorted({e.rank for e in trace_events})
+    rank_lanes = sorted({ev["tid"] for ev in flow_events if ev.get("pid") == 2})
+    if rank_lanes:
         entries.append(
             {"name": "process_name", "ph": "M", "pid": 2,
-             "args": {"name": trace_process}}
+             "args": {"name": "simulated ranks"}}
         )
-        for r in ranks:
+        for r in rank_lanes:
             entries.append(
                 {"name": "thread_name", "ph": "M", "pid": 2, "tid": r,
                  "args": {"name": f"rank {r}"}}
             )
-        for e in sorted(trace_events, key=lambda e: (e.rank, e.start)):
-            detail = getattr(e, "detail", "")
+    if any(ev.get("pid") == 3 for ev in flow_events) or serve_lanes:
+        entries.append(
+            {"name": "process_name", "ph": "M", "pid": 3,
+             "args": {"name": "serve"}}
+        )
+        for tid, name in serve_lanes:
             entries.append(
-                {
-                    "name": e.kind + (f" {detail}" if detail else ""),
-                    "cat": e.kind,
-                    "ph": "X",
-                    "ts": e.start * 1e6,
-                    "dur": max((e.end - e.start) * 1e6, 1.0),
-                    "pid": 2,
-                    "tid": e.rank,
-                }
+                {"name": "thread_name", "ph": "M", "pid": 3, "tid": tid,
+                 "args": {"name": name}}
             )
-
-    if flow_events or serve_lanes:
-        if any(ev.get("pid") == 3 for ev in flow_events) or serve_lanes:
-            entries.append(
-                {"name": "process_name", "ph": "M", "pid": 3,
-                 "args": {"name": "serve"}}
-            )
-            for tid, name in serve_lanes:
-                entries.append(
-                    {"name": "thread_name", "ph": "M", "pid": 3, "tid": tid,
-                     "args": {"name": name}}
-                )
-        entries.extend(flow_events)
+    entries.extend(flow_events)
     return {"traceEvents": entries}
 
 
@@ -396,18 +378,17 @@ def write_metrics(
 def write_chrome_trace(
     path: str | Path,
     registry: Registry | None = None,
-    recorder=None,
     sink=None,
     serve_lanes: Iterable = (),
 ) -> Path:
-    """Write one Chrome/Perfetto trace covering spans and rank events.
+    """Write one Chrome/Perfetto trace covering spans and flow points.
 
     ``sink`` (a :class:`~repro.obs.trace_context.TraceSink`) merges the
-    cross-component flow arrows and instant markers into the same file.
+    cross-component flow arrows and instant markers — the simulated
+    ranks' lanes among them — into the same file.
     """
     doc = chrome_trace(
         spans=registry.spans if registry is not None else (),
-        trace_events=recorder.events if recorder is not None else (),
         flow_events=sink.chrome_events() if sink is not None else (),
         serve_lanes=serve_lanes,
     )

@@ -7,8 +7,9 @@ A span measures one named region of work.  On exit it does two things:
    stage latencies accumulate as streaming distributions;
 2. appends a :class:`SpanEvent` (name, wall start/end, tags, thread,
    nesting depth, parent) to the registry's span log, so the exact
-   timeline can be exported to Chrome/Perfetto next to the simulated
-   ranks' :class:`~repro.parallel.trace.TraceRecorder` events.
+   timeline can be exported to Chrome/Perfetto next to the
+   :class:`~repro.obs.trace_context.TraceSink` flow points of the
+   simulated ranks.
 
 Naming convention: dotted paths, coarse to fine —
 ``consume.preprocess``, ``analyze.umap``, ``cli.monitor``.  Nesting is

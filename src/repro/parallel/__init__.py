@@ -47,8 +47,6 @@ from repro.parallel.faults import (
 )
 from repro.parallel.runner import DistributedSketchRunner, ParallelRunResult
 from repro.parallel.scaling import ScalingRecord, strong_scaling_study
-from repro.parallel.stream_runner import GlobalSnapshot, StreamingDistributedSketcher
-from repro.parallel.trace import TraceEvent, TraceRecorder
 
 __all__ = [
     "CommCostModel",
@@ -68,8 +66,4 @@ __all__ = [
     "ParallelRunResult",
     "ScalingRecord",
     "strong_scaling_study",
-    "GlobalSnapshot",
-    "StreamingDistributedSketcher",
-    "TraceEvent",
-    "TraceRecorder",
 ]

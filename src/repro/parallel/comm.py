@@ -2,9 +2,9 @@
 
 :class:`SimCommWorld` runs an SPMD ``program(comm)`` once per simulated
 rank, each in its own thread, connected by blocking message queues — the
-mpi4py subset the sketching system needs (``send``/``recv``, ``bcast``,
-``gather``, ``barrier``), with lowercase pickle-style semantics
-(arbitrary Python payloads, ndarrays passed by reference).
+mpi4py point-to-point subset the sketching system needs (``send``/
+``recv``), with lowercase pickle-style semantics (arbitrary Python
+payloads, ndarrays passed by reference).
 
 Time is *virtual*: every rank owns a clock (seconds).  Numerical work is
 charged by wrapping it in :meth:`SimComm.timed` (measured on the
@@ -95,33 +95,6 @@ class SendReceipt:
     corrupted: bool = False
     delay: float = 0.0
     attempts: int = 1
-
-
-class Request:
-    """Handle for a non-blocking receive (mpi4py ``Request`` subset).
-
-    Created by :meth:`SimComm.irecv`; call :meth:`wait` to complete the
-    operation and obtain the payload.  ``isend`` needs no request in
-    this model — sends are buffered and always complete immediately —
-    but one is returned for API symmetry (its ``wait`` is a no-op
-    returning ``None``).
-    """
-
-    def __init__(self, complete):
-        self._complete = complete
-        self._done = False
-        self._value = None
-
-    def wait(self):
-        """Block until the operation finishes; return its payload."""
-        if not self._done:
-            self._value = self._complete()
-            self._done = True
-        return self._value
-
-    def test(self) -> bool:
-        """Whether :meth:`wait` has already completed (never blocks)."""
-        return self._done
 
 
 class SimComm:
@@ -386,116 +359,6 @@ class SimComm:
                 if attempt == max_attempts - 1:
                     raise
 
-    def is_alive(self, rank: int) -> bool:
-        """Heartbeat check: whether ``rank`` is still running.
-
-        In the simulation the scheduler's thread state *is* the
-        heartbeat — a rank is alive until its program returns, raises,
-        or is killed by fault injection.
-        """
-        return self._world.rank_status(rank) == "running"
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> "Request":
-        """Non-blocking send (buffered sends complete immediately)."""
-        self.send(obj, dest, tag)
-        req = Request(lambda: None)
-        req._done = True
-        return req
-
-    def irecv(self, source: int, tag: int = 0) -> "Request":
-        """Non-blocking receive: returns a :class:`Request`.
-
-        The actual dequeue (and the clock advance for the message's
-        arrival) happens at :meth:`Request.wait` — so compute performed
-        between ``irecv`` and ``wait`` overlaps the communication, the
-        standard latency-hiding pattern.
-        """
-        return Request(lambda: self.recv(source, tag))
-
-    # ------------------------------------------------------------------
-    # Collectives (built on p2p so costs accumulate naturally)
-    # ------------------------------------------------------------------
-    def bcast(self, obj: Any, root: int = 0, tag: int = -1) -> Any:
-        """Binomial-tree broadcast from ``root`` (MPICH-style schedule)."""
-        vrank = (self.rank - root) % self.size
-        mask = 1
-        while mask < self.size:
-            if vrank & mask:
-                src = (vrank - mask + root) % self.size
-                obj = self.recv(src, tag)
-                break
-            mask <<= 1
-        mask >>= 1
-        while mask > 0:
-            if vrank + mask < self.size:
-                dest = (vrank + mask + root) % self.size
-                self.send(obj, dest, tag)
-            mask >>= 1
-        return obj
-
-    def gather(self, obj: Any, root: int = 0, tag: int = -2) -> list[Any] | None:
-        """Linear gather to ``root`` (returns the list at root, else None)."""
-        if self.rank == root:
-            out: list[Any] = [None] * self.size
-            out[root] = obj
-            for src in range(self.size):
-                if src != root:
-                    out[src] = self.recv(src, tag)
-            return out
-        self.send(obj, root, tag)
-        return None
-
-    def scatter(self, chunks: list[Any] | None, root: int = 0, tag: int = -4) -> Any:
-        """Linear scatter: rank ``i`` receives ``chunks[i]`` from ``root``."""
-        if self.rank == root:
-            if chunks is None or len(chunks) != self.size:
-                raise ValueError("root must pass exactly one chunk per rank")
-            for dest in range(self.size):
-                if dest != root:
-                    self.send(chunks[dest], dest, tag)
-            return chunks[root]
-        return self.recv(root, tag)
-
-    def reduce(
-        self, value: Any, op: Callable[[Any, Any], Any], root: int = 0, tag: int = -5
-    ) -> Any:
-        """Binomial-tree reduction to ``root`` (returns result at root only).
-
-        ``op`` must be associative; the combine order is deterministic
-        (children combine into parents by ascending relative rank), so
-        floating-point results are reproducible run to run.
-        """
-        vrank = (self.rank - root) % self.size
-        mask = 1
-        acc = value
-        while mask < self.size:
-            if vrank & mask:
-                dest = (vrank - mask + root) % self.size
-                self.send(acc, dest, tag)
-                return None
-            src_v = vrank + mask
-            if src_v < self.size:
-                incoming = self.recv((src_v + root) % self.size, tag)
-                acc = op(acc, incoming)
-            mask <<= 1
-        return acc
-
-    def allreduce(
-        self, value: Any, op: Callable[[Any, Any], Any], tag: int = -6
-    ) -> Any:
-        """Reduce to rank 0 then broadcast the result to everyone."""
-        reduced = self.reduce(value, op, root=0, tag=tag)
-        return self.bcast(reduced if self.rank == 0 else None, root=0, tag=tag - 100)
-
-    def barrier(self, tag: int = -3) -> None:
-        """Synchronize virtual clocks across all ranks (gather + bcast)."""
-        clocks = self.gather(self.clock, root=0, tag=tag)
-        if self.rank == 0:
-            latest = max(clocks)  # type: ignore[arg-type]
-            self.clock = max(self.clock, latest)
-        synced = self.bcast(self.clock if self.rank == 0 else None, root=0, tag=tag - 100)
-        self.clock = max(self.clock, float(synced))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimComm(rank={self.rank}, size={self.size}, clock={self.clock:.6f})"
 
@@ -586,8 +449,7 @@ class SimCommWorld:
         :class:`~repro.parallel.faults.RankKilledError` is the one
         exception treated as *expected*: the rank is marked ``killed``
         (its result stays ``None``) and the run continues — survivors
-        observe the death through fail-fast receives and
-        :meth:`SimComm.is_alive`.
+        observe the death through fail-fast receives.
         """
         self._channels.clear()
         self.comms = [SimComm(self, r) for r in range(self.size)]

@@ -317,8 +317,9 @@ class FaultInjector:
         rng = self._rngs.get(channel)
         if rng is None:
             source, dest, tag = channel
-            # Tags can be negative (collectives); offset into the
-            # nonnegative range default_rng requires.
+            # Any int is a tag, negative ones included; offset into the
+            # nonnegative range default_rng requires.  The offset is part
+            # of every channel's seed, so replays depend on it.
             rng = np.random.default_rng(
                 [self.plan.seed, source, dest, tag + (1 << 20)]
             )

@@ -36,8 +36,8 @@ result and exported to the metric registry.
 
 Because mergeable FD summaries degrade gracefully, a partially failed
 run still satisfies the covariance-error bound — computed against the
-rows that actually contributed (see
-:func:`repro.core.merge.degraded_tree_merge`).  With a
+rows that actually contributed (the report's ``contributing_ranks``
+name their shards).  With a
 :class:`~repro.parallel.cost_model.ComputeCostModel`, the whole faulty
 run — sketch, makespan, report — is bit-reproducible from the fault
 plan's seed.

@@ -453,8 +453,12 @@ class FrameGuard:
         if accepted:
             stacked = np.stack(accepted)
         else:
+            # The dtype the offered frames share (the stack path's
+            # ``stack[accept]`` keeps it too), float64 when they differ.
             h, w = self._shape if self._shape is not None else (0, 0)
-            stacked = np.empty((0, h, w))
+            dtypes = {f.dtype for f in frame_list}
+            dtype = dtypes.pop() if len(dtypes) == 1 else np.float64
+            stacked = np.empty((0, h, w), dtype=dtype)
         return GuardBatch(
             accepted=stacked,
             accepted_ids=np.asarray(accepted_ids, dtype=np.int64),

@@ -18,7 +18,6 @@ MODULES = [
     "repro.core.arams",
     "repro.core.baselines",
     "repro.core.forgetting",
-    "repro.core.streaming_stats",
     "repro.cluster.optics",
     "repro.cluster.hdbscan",
     "repro.embed.pca",
@@ -26,7 +25,6 @@ MODULES = [
     "repro.data.stream",
     "repro.data.xpcs",
     "repro.parallel.comm",
-    "repro.parallel.stream_runner",
     "repro.pipeline.preprocess",
     "repro.pipeline.drift",
 ]

@@ -35,7 +35,6 @@ from repro.parallel.faults import (
     payload_checksum,
 )
 from repro.parallel.runner import DistributedSketchRunner
-from repro.parallel.stream_runner import StreamingDistributedSketcher
 
 GOLDEN = Path(__file__).parent / "golden" / "degradation_report.json"
 
@@ -443,58 +442,6 @@ class TestCheckpointRecovery:
         report = runner.run(shards).degradation
         assert report.ranks_lost == [3]
         assert report.ranks_recovered == []
-
-
-# ----------------------------------------------------------------------
-# Streaming runner under kills
-# ----------------------------------------------------------------------
-class TestStreamingFaults:
-    @pytest.mark.timeout(120)
-    def test_killed_rank_without_checkpoint_leaves_the_stream(self):
-        s = StreamingDistributedSketcher(
-            d=40, ell=8, n_ranks=4,
-            fault_plan=FaultPlan(seed=2).kill(2, rotation=1),
-            compute_model=ComputeCostModel(),
-        )
-        rng = np.random.default_rng(0)
-        for _ in range(6):
-            s.ingest(rng.standard_normal((64, 40)))
-        report = s.degradation
-        assert report.ranks_lost == [2]
-        assert report.rows_dropped > 0
-        assert 2 not in report.contributing_ranks
-        # Snapshots still work, covering survivors only.
-        assert s.global_sketch().shape == (8, 40)
-
-    @pytest.mark.timeout(120)
-    def test_killed_rank_with_checkpoint_recovers_in_stream(self, tmp_path):
-        s = StreamingDistributedSketcher(
-            d=40, ell=8, n_ranks=4,
-            fault_plan=FaultPlan(seed=2).kill(2, rotation=2),
-            checkpoint_dir=tmp_path, checkpoint_every=1,
-            compute_model=ComputeCostModel(),
-        )
-        rng = np.random.default_rng(0)
-        for _ in range(6):
-            s.ingest(rng.standard_normal((64, 40)))
-        report = s.degradation
-        assert report.ranks_recovered == [2]
-        assert report.ranks_lost == []
-        assert 2 in report.contributing_ranks
-        assert report.rows_recovered > 0
-
-    def test_export_degradation_records_metrics(self):
-        registry = Registry()
-        s = StreamingDistributedSketcher(
-            d=20, ell=4, n_ranks=2, registry=registry,
-            fault_plan=FaultPlan(seed=1).stall(1, seconds=0.5, op=0),
-            compute_model=ComputeCostModel(),
-        )
-        s.ingest(np.random.default_rng(0).standard_normal((32, 20)))
-        report = s.export_degradation()
-        assert report.stalls_injected == 1
-        labels = {"strategy": "stream"}
-        assert registry.get_sample("fault_runs_degraded_total", labels).value == 1
 
 
 # ----------------------------------------------------------------------

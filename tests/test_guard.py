@@ -560,6 +560,14 @@ def certified_stream(h, w):
     return GuardConfig(), [frames[:12], frames[12:]], None
 
 
+def all_rejected_stream():
+    """40 clean float32 frames, then a batch of 4 bright ones the norm
+    screen rejects: nothing of the second batch is accepted."""
+    frames = clean_frames(40, seed=3).astype(np.float32)
+    config = GuardConfig(norm_sigma=3.0, norm_warmup=8)
+    return config, [frames, frames[:4] * np.float32(50.0)], None
+
+
 class TestVectorizedMatchesChain:
     """``_screen_stack`` decides exactly as the per-frame rule chain.
 
@@ -580,6 +588,8 @@ class TestVectorizedMatchesChain:
     # per-frame one on the other, at sizes past one reduction block.
     @example(stream=certified_stream(128, 128))
     @example(stream=certified_stream(129, 130))
+    # An all-rejected batch comes back empty in the input dtype both ways.
+    @example(stream=all_rejected_stream())
     def test_same_decisions_and_state(self, stream):
         config, batches, ids = stream
         fast = FrameGuard(config, registry=Registry())
@@ -592,6 +602,7 @@ class TestVectorizedMatchesChain:
             b = chain.screen(list(frames), sid)
             assert a.accepted_ids.tolist() == b.accepted_ids.tolist()
             assert a.accepted.shape == b.accepted.shape
+            assert a.accepted.dtype == b.accepted.dtype
             assert a.accepted.tobytes() == b.accepted.tobytes()
             assert [(q.shot_id, q.reason, q.detail) for q in a.rejected] == [
                 (q.shot_id, q.reason, q.detail) for q in b.rejected

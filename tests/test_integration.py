@@ -181,26 +181,3 @@ class TestOperationalScenarios:
         res = pipe.consume(images).analyze()
         assert res.n_clusters >= 3
         assert cluster_purity(truth["label"], res.labels) > 0.85
-
-    def test_streaming_distributed_feeds_pipeline_quality(self):
-        """Global snapshots from the streaming distributed sketcher can
-        drive PCA at quality comparable to single-stream sketching."""
-        from repro.core.frequent_directions import FrequentDirections
-        from repro.embed.pca import SketchPCA
-        from repro.parallel.stream_runner import StreamingDistributedSketcher
-
-        data = synthetic_dataset(n=1600, d=256, rank=64,
-                                 profile="exponential", rate=0.06, seed=4)
-        dist = StreamingDistributedSketcher(d=256, ell=24, n_ranks=8,
-                                            merge_every=2)
-        for i in range(0, 1600, 200):
-            dist.ingest(data[i : i + 200])
-        snap = dist.snapshots[-1].sketch
-        single = FrequentDirections(256, 24).fit(data).sketch
-
-        def recon_err(sketch):
-            pca = SketchPCA(sketch[np.any(sketch != 0, axis=1)], n_components=10)
-            recon = pca.inverse_transform(pca.transform(data))
-            return np.sum((data - recon) ** 2) / np.sum(data**2)
-
-        assert recon_err(snap) < recon_err(single) * 1.5 + 0.02

@@ -147,14 +147,34 @@ class TestChromeTrace:
         assert by_name["inner"]["args"]["parent"] == "outer"
         assert by_name["outer"]["args"]["k"] == "v"
 
-    def test_merges_simulated_rank_events(self):
-        from repro.parallel.trace import TraceEvent
+    @pytest.mark.timeout(60)
+    def test_names_simulated_rank_lanes_from_sink(self):
+        from repro.data.synthetic import sharded_synthetic_dataset
+        from repro.obs.trace_context import TraceContext, TraceSink
+        from repro.parallel.runner import DistributedSketchRunner
 
-        reg = self._spanned_registry()
-        events = [TraceEvent(0, "compute", 0.0, 1.0)]
-        doc = chrome_trace(spans=reg.spans, trace_events=events)
-        pids = {e["pid"] for e in doc["traceEvents"]}
-        assert pids == {1, 2}  # pipeline + simulated ranks
+        sink = TraceSink()
+        shards = sharded_synthetic_dataset(
+            n_shards=4, rows_per_shard=40, d=24, rank=12,
+            profile="cubic", rate=0.05, seed=0,
+        )
+        DistributedSketchRunner(
+            ell=6, trace_sink=sink, trace_context=TraceContext.root("t"),
+        ).run(shards)
+        doc = chrome_trace(
+            spans=self._spanned_registry().spans,
+            flow_events=sink.chrome_events(),
+        )
+        meta = {
+            (e["name"], e.get("tid")): e["args"]["name"]
+            for e in doc["traceEvents"]
+            if e["ph"] == "M" and e["pid"] == 2
+        }
+        assert meta == {
+            ("process_name", None): "simulated ranks",
+            **{("thread_name", r): f"rank {r}" for r in range(4)},
+        }
+        assert {e["pid"] for e in doc["traceEvents"]} == {1, 2}
 
     def test_empty_inputs(self):
         assert chrome_trace() == {"traceEvents": []}

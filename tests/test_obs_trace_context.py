@@ -27,7 +27,6 @@ from repro.parallel.comm import SimComm, SimCommWorld
 from repro.parallel.cost_model import ComputeCostModel
 from repro.parallel.faults import FaultPlan
 from repro.parallel.runner import DistributedSketchRunner
-from repro.parallel.stream_runner import StreamingDistributedSketcher
 
 
 def _shards(n=8, rows=80, d=40, seed=0):
@@ -297,42 +296,6 @@ class TestRunnerTrace:
             assert traced.degradation.to_json() == untraced.degradation.to_json()
         # and the trace itself is deterministic run over run
         assert sink_a.chrome_events() == sink_b.chrome_events()
-
-
-class TestStreamRunnerTrace:
-    @pytest.mark.timeout(60)
-    def test_snapshot_and_fault_markers(self):
-        sink = TraceSink()
-        s = StreamingDistributedSketcher(
-            d=40, ell=8, n_ranks=4,
-            fault_plan=FaultPlan(seed=2).kill(2, rotation=1),
-            compute_model=ComputeCostModel(),
-            trace_sink=sink, trace_context=TraceContext.root("stream"),
-        )
-        rng = np.random.default_rng(0)
-        for _ in range(4):
-            s.ingest(rng.standard_normal((64, 40)))
-        s.global_sketch()  # forces a snapshot
-        names = [p.name for p in sink.points]
-        assert any(n.startswith("snapshot") for n in names)
-        assert any("lost" in n for n in names)
-
-    @pytest.mark.timeout(60)
-    def test_traced_stream_is_bit_identical(self):
-        def go(sink):
-            s = StreamingDistributedSketcher(
-                d=40, ell=8, n_ranks=4,
-                fault_plan=FaultPlan(seed=2).kill(2, rotation=1),
-                compute_model=ComputeCostModel(),
-                trace_sink=sink,
-                trace_context=TraceContext.root("stream") if sink else None,
-            )
-            rng = np.random.default_rng(0)
-            for _ in range(4):
-                s.ingest(rng.standard_normal((64, 40)))
-            return s.global_sketch().tobytes()
-
-        assert go(TraceSink()) == go(None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Property-based tests for the simulated MPI layer and streaming core."""
+"""Property-based tests for the fault-tolerant sharded merge and the
+forgetting sketch."""
 
 from __future__ import annotations
 
@@ -7,9 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.forgetting import ForgettingFD
-from repro.core.streaming_stats import StreamingMoments
-from repro.parallel.comm import SimComm, SimCommWorld
-from repro.parallel.cost_model import CommCostModel
 
 COMMON = settings(
     max_examples=15,
@@ -18,93 +16,7 @@ COMMON = settings(
 )
 
 
-class TestCollectiveProperties:
-    @COMMON
-    @given(st.integers(1, 9), st.integers(0, 8), st.integers(0, 2**31 - 1))
-    def test_bcast_delivers_everywhere(self, size, root, seed):
-        root = root % size
-        world = SimCommWorld(size, cost_model=CommCostModel.free())
-        payload = {"seed": seed}
-
-        def program(comm: SimComm):
-            return comm.bcast(payload if comm.rank == root else None, root=root)
-
-        results = world.run(program)
-        assert all(r == payload for r in results)
-
-    @COMMON
-    @given(st.integers(1, 9), st.integers(0, 8), st.lists(st.integers(-100, 100), min_size=9, max_size=9))
-    def test_reduce_equals_serial_fold(self, size, root, values):
-        root = root % size
-        world = SimCommWorld(size, cost_model=CommCostModel.free())
-
-        def program(comm: SimComm):
-            return comm.reduce(values[comm.rank], lambda a, b: a + b, root=root)
-
-        results = world.run(program)
-        assert results[root] == sum(values[:size])
-
-    @COMMON
-    @given(st.integers(1, 8), st.integers(0, 2**31 - 1))
-    def test_allreduce_consistent_everywhere(self, size, seed):
-        gen = np.random.default_rng(seed)
-        locals_ = gen.integers(-1000, 1000, size=size).tolist()
-        world = SimCommWorld(size, cost_model=CommCostModel.free())
-
-        def program(comm: SimComm):
-            return comm.allreduce(locals_[comm.rank], max)
-
-        results = world.run(program)
-        assert len(set(results)) == 1
-        assert results[0] == max(locals_[:size])
-
-    @COMMON
-    @given(st.integers(2, 8))
-    def test_gather_then_scatter_roundtrip(self, size):
-        world = SimCommWorld(size, cost_model=CommCostModel.free())
-
-        def program(comm: SimComm):
-            gathered = comm.gather(comm.rank * 11, root=0)
-            return comm.scatter(gathered, root=0)
-
-        results = world.run(program)
-        assert results == [r * 11 for r in range(size)]
-
-    @COMMON
-    @given(st.integers(1, 8), st.floats(0.0, 5.0))
-    def test_barrier_clock_consistency(self, size, head_start):
-        world = SimCommWorld(size, cost_model=CommCostModel.free())
-
-        def program(comm: SimComm):
-            if comm.rank == 0:
-                comm.advance(head_start)
-            comm.barrier()
-            return comm.clock
-
-        clocks = world.run(program)
-        assert max(clocks) - min(clocks) < 1e-12
-        assert min(clocks) >= head_start - 1e-12
-
-
 class TestStreamingProperties:
-    @COMMON
-    @given(
-        st.integers(0, 2**31 - 1),
-        st.lists(st.integers(1, 40), min_size=1, max_size=8),
-    )
-    def test_moments_chunking_invariance(self, seed, chunk_sizes):
-        gen = np.random.default_rng(seed)
-        total = sum(chunk_sizes)
-        x = gen.standard_normal((total, 5)) * 3 + gen.standard_normal(5)
-        whole = StreamingMoments(5).update(x)
-        parts = StreamingMoments(5)
-        at = 0
-        for c in chunk_sizes:
-            parts.update(x[at : at + c])
-            at += c
-        np.testing.assert_allclose(whole.mean, parts.mean, atol=1e-10)
-        np.testing.assert_allclose(whole.variance, parts.variance, atol=1e-8)
-
     @COMMON
     @given(st.integers(0, 2**31 - 1), st.integers(1, 25))
     def test_forgetting_chunking_invariance(self, seed, chunk):

@@ -153,7 +153,6 @@ TIERS: dict[int, tuple[str, tuple[Step, ...]]] = {
                     "tests/test_obs_trace_context.py",
                     "tests/test_obs_export_golden.py",
                     "tests/test_obs_e2e.py",
-                    "tests/test_trace.py",
                     "tests/test_no_unbounded_append.py",
                 ),
             ),
