@@ -1121,7 +1121,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             args.trace_out,
             registry=registry,
             sink=trace_sink,
-            serve_lanes=((0, "kills"), (1, "answers")),
+            serve_lanes=((0, "submit"), (1, "answer"), (3, "kills")),
         )
         print(f"merged trace written to {path} "
               f"({len(trace_sink.points)} flow points)")

@@ -17,7 +17,7 @@ import scipy.sparse
 
 from repro.embed.knn import knn_graph
 from repro.embed.nn_descent import nn_descent
-from repro.embed.umap_fuzzy import fuzzy_simplicial_set, smooth_knn_calibration
+from repro.embed.umap_fuzzy import fuzzy_simplicial_set
 from repro.embed.umap_optimize import fit_ab_params, optimize_layout
 from repro.embed.umap_spectral import spectral_layout
 
@@ -123,9 +123,6 @@ class UMAP:
 
         self.embedding_: np.ndarray | None = None
         self.graph_: scipy.sparse.csr_matrix | None = None
-        self._train_data: np.ndarray | None = None
-        self._a: float | None = None
-        self._b: float | None = None
 
     # ------------------------------------------------------------------
     def _knn(self, x: np.ndarray, rng: np.random.Generator):
@@ -171,14 +168,14 @@ class UMAP:
             embedding = spectral_layout(self.graph_, self.n_components, rng=rng)
         else:
             embedding = rng.uniform(-10.0, 10.0, size=(n, self.n_components))
-        self._a, self._b = fit_ab_params(self.spread, self.min_dist)
+        a, b = fit_ab_params(self.spread, self.min_dist)
         n_epochs = self._pick_epochs(n)
         embedding = optimize_layout(
             embedding,
             graph,
             n_epochs=n_epochs,
-            a=self._a,
-            b=self._b,
+            a=a,
+            b=b,
             rng=rng,
             learning_rate=self.learning_rate,
             negative_sample_rate=self.negative_sample_rate,
@@ -186,96 +183,11 @@ class UMAP:
         # Center for presentation stability.
         embedding -= embedding.mean(axis=0, keepdims=True)
         self.embedding_ = embedding
-        self._train_data = x
         return self
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         """Fit on ``x`` and return its embedding."""
         return self.fit(x).embedding_  # type: ignore[return-value]
-
-    def transform(self, x_new: np.ndarray, refine_epochs: int = 30) -> np.ndarray:
-        """Embed new points into a fitted space (streaming monitoring path).
-
-        New points are initialized at the membership-weighted barycenter
-        of their nearest training points' embeddings, then refined with
-        a short SGD run against the *frozen* training layout.
-
-        Parameters
-        ----------
-        x_new:
-            ``(m, n_features)`` new samples.
-        refine_epochs:
-            SGD epochs for the refinement stage (0 = barycenter only).
-
-        Returns
-        -------
-        numpy.ndarray
-            ``(m, n_components)`` coordinates.
-        """
-        if self.embedding_ is None or self._train_data is None:
-            raise RuntimeError("transform() requires a fitted model")
-        x_new = np.atleast_2d(np.asarray(x_new, dtype=np.float64))
-        if x_new.shape[1] != self._train_data.shape[1]:
-            raise ValueError(
-                f"x_new has {x_new.shape[1]} features, "
-                f"model was fit with {self._train_data.shape[1]}"
-            )
-        rng = np.random.default_rng(self.random_state)
-        train = self._train_data
-        k = min(self.n_neighbors, train.shape[0])
-        # Exact neighbour search of new points against training data.
-        if self.metric == "cosine":
-            def unit(a):
-                norms = np.linalg.norm(a, axis=1, keepdims=True)
-                norms[norms == 0] = 1.0
-                return a / norms
-
-            d2 = 1.0 - unit(x_new) @ unit(train).T
-            np.maximum(d2, 0.0, out=d2)
-            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            part_d = np.take_along_axis(d2, part, axis=1)
-        else:
-            d2 = (
-                np.einsum("ij,ij->i", x_new, x_new)[:, None]
-                + np.einsum("ij,ij->i", train, train)[None, :]
-                - 2.0 * x_new @ train.T
-            )
-            np.maximum(d2, 0.0, out=d2)
-            part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-            part_d = np.sqrt(np.take_along_axis(d2, part, axis=1))
-        order = np.argsort(part_d, axis=1)
-        idx = np.take_along_axis(part, order, axis=1)
-        dst = np.take_along_axis(part_d, order, axis=1)
-        rho, sigma = smooth_knn_calibration(
-            dst, local_connectivity=self.local_connectivity
-        )
-        w = np.exp(-np.maximum(dst - rho[:, None], 0.0) / sigma[:, None])
-        w_sum = w.sum(axis=1, keepdims=True)
-        w_sum[w_sum == 0] = 1.0
-        w_norm = w / w_sum
-        emb_new = np.einsum("mk,mkd->md", w_norm, self.embedding_[idx])
-        if refine_epochs > 0:
-            m = x_new.shape[0]
-            rows = np.repeat(np.arange(m), k)
-            cols = idx.ravel()
-            graph = scipy.sparse.coo_matrix(
-                (w.ravel(), (rows, cols)),
-                shape=(m, train.shape[0]),
-            )
-            assert self._a is not None and self._b is not None
-            emb_new = optimize_layout(
-                emb_new,
-                graph,
-                n_epochs=refine_epochs,
-                a=self._a,
-                b=self._b,
-                rng=rng,
-                learning_rate=self.learning_rate,
-                negative_sample_rate=self.negative_sample_rate,
-                move_other=False,
-                fixed_embedding=self.embedding_,
-            )
-        return emb_new
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -99,8 +99,6 @@ def optimize_layout(
     rng: np.random.Generator,
     learning_rate: float = 1.0,
     negative_sample_rate: int = 5,
-    move_other: bool = True,
-    fixed_embedding: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run the sampled attract/repel SGD on an initial layout.
 
@@ -121,13 +119,6 @@ def optimize_layout(
         Initial SGD step size; decays linearly to 0.
     negative_sample_rate:
         Repulsive samples per attractive update.
-    move_other:
-        Whether tail vertices also move (True for fit, False for
-        transform, where the reference layout must stay put).
-    fixed_embedding:
-        When optimizing *new* points against a frozen reference (the
-        ``transform`` path), the tail/negative positions come from this
-        array and only ``embedding`` rows move.
 
     Returns
     -------
@@ -149,9 +140,7 @@ def optimize_layout(
         return embedding
     epochs_per_sample = make_epochs_per_sample(weights, n_epochs)
     epoch_of_next_sample = epochs_per_sample.copy()
-    other = fixed_embedding if fixed_embedding is not None else embedding
-    n_other = other.shape[0]
-    dim = embedding.shape[1]
+    n, dim = embedding.shape
 
     for epoch in range(n_epochs):
         alpha = learning_rate * (1.0 - epoch / float(n_epochs))
@@ -161,7 +150,7 @@ def optimize_layout(
         h = heads[due]
         t = tails[due]
         # ---- attractive updates ----
-        diff = embedding[h] - other[t]
+        diff = embedding[h] - embedding[t]
         d2 = np.einsum("ij,ij->i", diff, diff)
         nz = d2 > 0.0
         coeff = np.zeros_like(d2)
@@ -170,15 +159,14 @@ def optimize_layout(
         )
         grad = np.clip(coeff[:, None] * diff, -_GRAD_CLIP, _GRAD_CLIP)
         np.add.at(embedding, h, alpha * grad)
-        if move_other and fixed_embedding is None:
-            np.add.at(embedding, t, -alpha * grad)
+        np.add.at(embedding, t, -alpha * grad)
         # ---- repulsive (negative) samples ----
         n_due = h.shape[0]
         reps = negative_sample_rate
         if reps > 0:
             h_rep = np.repeat(h, reps)
-            neg = rng.integers(0, n_other, size=n_due * reps)
-            diff_n = embedding[h_rep] - other[neg]
+            neg = rng.integers(0, n, size=n_due * reps)
+            diff_n = embedding[h_rep] - embedding[neg]
             d2n = np.einsum("ij,ij->i", diff_n, diff_n)
             coeff_n = np.zeros_like(d2n)
             pos = d2n > 0.0

@@ -85,9 +85,9 @@ class FlowPoint:
     """One endpoint of a cross-component flow (or an instant marker).
 
     ``phase`` is ``"s"`` (flow start), ``"f"`` (flow finish) or ``"i"``
-    (instant).  ``process``/``lane`` name the Chrome process/thread the
-    point is drawn on; ``t`` is seconds on that process's clock
-    (virtual for rank and serve lanes).
+    (instant).  ``process`` (a key of :data:`PROCESS_IDS`) and ``lane``
+    name the Chrome process/thread the point is drawn on; ``t`` is
+    seconds on that process's clock (virtual for rank and serve lanes).
     """
 
     phase: str
@@ -98,10 +98,12 @@ class FlowPoint:
     name: str
 
 
-#: Chrome process ids for the merged trace, keyed by lane-group name.
-#: ``chrome_trace`` uses pid 1 for spans and pid 2 for simulated ranks;
-#: flow endpoints recorded against "ranks" land on pid 2 so the arrows
-#: attach to the rank lanes, and the serve lanes get their own process.
+#: Chrome process ids for the merged trace, keyed by lane-group name;
+#: :meth:`TraceSink.emit` rejects any other name.  ``chrome_trace`` uses
+#: pid 1 for spans and pid 2 for simulated ranks; flow endpoints recorded
+#: against "ranks" land on pid 2 so the arrows attach to the rank lanes,
+#: and the serve lanes (the ``serve`` and ``fleet`` commands' queries,
+#: epochs, shard kills and alerts) get their own process.
 PROCESS_IDS = {"pipeline": 1, "ranks": 2, "serve": 3}
 
 
@@ -141,6 +143,10 @@ class TraceSink:
         """Record one flow endpoint / instant marker."""
         if phase not in ("s", "f", "i"):
             raise ValueError(f"phase must be 's', 'f' or 'i', got {phase!r}")
+        if process not in PROCESS_IDS:
+            raise ValueError(
+                f"process must be one of {sorted(PROCESS_IDS)}, got {process!r}"
+            )
         self.points.append(  # bounded: trimmed to max_points just below
             FlowPoint(phase=phase, ctx=ctx, process=process, lane=lane,
                       t=float(t), name=str(name))
@@ -179,7 +185,7 @@ class TraceSink:
                 "cat": "flow" if p.phase in ("s", "f") else "instant",
                 "ph": p.phase,
                 "ts": p.t * time_scale,
-                "pid": PROCESS_IDS.get(p.process, 9),
+                "pid": PROCESS_IDS[p.process],
                 "tid": p.lane,
                 "args": p.ctx.to_dict(),
             }

@@ -127,16 +127,15 @@ class MonitoringResult:
         Raw ABOF scores (lower = more anomalous).
     explained_variance_ratio:
         Sketch-PCA energy fractions of the latent axes.
-    timings:
-        Seconds per stage: ``project``, ``umap``, ``optics``, ``abod``.
     shot_ids:
-        Shot id of each analysed row (``None`` for results predating
-        id tracking, e.g. :meth:`MonitoringPipeline.score_new`).  When
-        a guard quarantined frames, these are the *accepted* ids, so
-        rows stay aligned with the stream's bookkeeping.
+        Shot id of each analysed row.  When a guard quarantined frames,
+        these are the *accepted* ids, so rows stay aligned with the
+        stream's bookkeeping.
     stages:
         Per-stage :class:`~repro.pipeline.supervisor.DegradedResult`
-        outcomes from the fail-soft analysis (empty for score_new).
+        outcomes from the fail-soft analysis, in run order: ``project``,
+        ``umap``, ``optics`` (or ``hdbscan``), ``abod`` (absent when
+        ABOD is disabled).  Each carries the stage's wall seconds.
     """
 
     latent: np.ndarray
@@ -145,9 +144,13 @@ class MonitoringResult:
     outliers: np.ndarray
     outlier_scores: np.ndarray
     explained_variance_ratio: np.ndarray
-    timings: dict[str, float] = field(default_factory=dict)
     shot_ids: np.ndarray | None = None
     stages: dict[str, DegradedResult] = field(default_factory=dict)
+
+    @property
+    def timings(self) -> dict[str, float]:
+        """Seconds per stage, keyed and ordered like :attr:`stages`."""
+        return {name: s.seconds for name, s in self.stages.items()}
 
     @property
     def n_clusters(self) -> int:
@@ -300,8 +303,6 @@ class MonitoringPipeline:
 
         self._sketcher: ARAMS | None = None
         self._analysis: MonitoringResult | None = None
-        self._analysis_pca: SketchPCA | None = None
-        self._analysis_umap: UMAP | None = None
         # retain="rows": a (capacity, d) block whose first n_images rows
         # are the retained rows (see _retain_slot and retained_rows).
         self._row_block: np.ndarray | None = None
@@ -668,17 +669,18 @@ class MonitoringPipeline:
         """Run projection, UMAP, OPTICS and ABOD on everything consumed.
 
         Fail-soft: each stage runs under a
-        :class:`~repro.pipeline.supervisor.StageSupervisor`.  A stage
-        failure (non-convergence, degenerate spectra, layout NaNs)
-        substitutes the documented fallback — all-zero latent, the
-        first two PCA axes as the embedding, all-noise labels, or
-        no-outliers — and is recorded in ``result.stages`` instead of
-        raising; the sketch and everything consumed stay intact.  Only
-        calling before any data has arrived still raises.
+        :class:`~repro.pipeline.supervisor.StageSupervisor`, which times
+        it as the span ``analyze.<stage>`` and records its outcome and
+        seconds in ``result.stages`` (``result.timings`` reads those
+        seconds).  A stage failure (non-convergence, degenerate
+        spectra, layout NaNs) substitutes the documented fallback —
+        all-zero latent, the first two PCA axes as the embedding,
+        all-noise labels, or no-outliers — and is recorded there
+        instead of raising; the sketch and everything consumed stay
+        intact.  Only calling before any data has arrived still raises.
         """
         if self._sketcher is None or self.n_images == 0:
             raise RuntimeError("no data consumed yet")
-        timings: dict[str, float] = {}
         sup = StageSupervisor(self.registry)
 
         def project_primary():
@@ -701,47 +703,39 @@ class MonitoringPipeline:
                 return "non-finite latent coordinates"
             return None
 
-        with self.registry.span("analyze.project") as sp:
-            pca, latent = sup.run(
-                "project",
-                project_primary,
-                lambda: (None, np.zeros((self.n_images, self.n_latent))),
-                "all-zero latent coordinates",
-                validate=project_validate,
-            )
-        timings["project"] = sp.elapsed
-        sup.set_seconds("project", sp.elapsed)
+        pca, latent = sup.run(
+            "project",
+            project_primary,
+            lambda: (None, np.zeros((self.n_images, self.n_latent))),
+            "all-zero latent coordinates",
+            validate=project_validate,
+        )
 
         n_emb = int(self.umap_params.get("n_components", 2))
 
         def umap_primary():
-            um = UMAP(**self.umap_params)
-            return um, um.fit_transform(latent)
+            return UMAP(**self.umap_params).fit_transform(latent)
 
         def umap_fallback():
             emb = np.zeros((latent.shape[0], n_emb))
             take = min(n_emb, latent.shape[1])
             emb[:, :take] = latent[:, :take]
-            return None, emb
+            return emb
 
-        def umap_validate(value):
-            _, emb = value
+        def umap_validate(emb):
             if emb.shape[0] != latent.shape[0]:
                 return f"embedding has {emb.shape[0]} rows for {latent.shape[0]} frames"
             if not np.all(np.isfinite(emb)):
                 return "non-finite embedding coordinates (layout diverged)"
             return None
 
-        with self.registry.span("analyze.umap") as sp:
-            umap, embedding = sup.run(
-                "umap",
-                umap_primary,
-                umap_fallback,
-                f"first {n_emb} PCA axes as embedding",
-                validate=umap_validate,
-            )
-        timings["umap"] = sp.elapsed
-        sup.set_seconds("umap", sp.elapsed)
+        embedding = sup.run(
+            "umap",
+            umap_primary,
+            umap_fallback,
+            f"first {n_emb} PCA axes as embedding",
+            validate=umap_validate,
+        )
 
         def cluster_primary():
             if self.cluster_method == "hdbscan":
@@ -753,16 +747,13 @@ class MonitoringPipeline:
                 return "label count does not match embedding rows"
             return None
 
-        with self.registry.span(f"analyze.{self.cluster_method}") as sp:
-            labels = sup.run(
-                self.cluster_method,
-                cluster_primary,
-                lambda: np.full(embedding.shape[0], -1, dtype=int),
-                "all-noise labels",
-                validate=cluster_validate,
-            )
-        timings[self.cluster_method] = sp.elapsed
-        sup.set_seconds(self.cluster_method, sp.elapsed)
+        labels = sup.run(
+            self.cluster_method,
+            cluster_primary,
+            lambda: np.full(embedding.shape[0], -1, dtype=int),
+            "all-noise labels",
+            validate=cluster_validate,
+        )
 
         if self.outlier_contamination is not None:
 
@@ -781,19 +772,16 @@ class MonitoringPipeline:
                     return "non-finite ABOF scores"
                 return None
 
-            with self.registry.span("analyze.abod") as sp:
-                outliers, scores = sup.run(
-                    "abod",
-                    abod_primary,
-                    lambda: (
-                        np.zeros(self.n_images, dtype=bool),
-                        np.zeros(self.n_images),
-                    ),
-                    "no outliers flagged",
-                    validate=abod_validate,
-                )
-            timings["abod"] = sp.elapsed
-            sup.set_seconds("abod", sp.elapsed)
+            outliers, scores = sup.run(
+                "abod",
+                abod_primary,
+                lambda: (
+                    np.zeros(self.n_images, dtype=bool),
+                    np.zeros(self.n_images),
+                ),
+                "no outliers flagged",
+                validate=abod_validate,
+            )
         else:
             outliers = np.zeros(self.n_images, dtype=bool)
             scores = np.zeros(self.n_images)
@@ -810,101 +798,11 @@ class MonitoringPipeline:
             outliers=outliers,
             outlier_scores=scores,
             explained_variance_ratio=evr,
-            timings=timings,
             shot_ids=np.asarray(self.shot_ids, dtype=np.int64),
             stages=dict(sup.results),
         )
-        # Keep the fitted stages so fresh shots can be scored online
-        # (see score_new) without re-running the full analysis.
         self._analysis = result
-        self._analysis_pca = pca
-        self._analysis_umap = umap
         return result
-
-    def score_new(self, images: np.ndarray) -> MonitoringResult:
-        """Score fresh shots against the last :meth:`analyze` result.
-
-        The live monitoring loop: heavy stages (sketch basis, UMAP
-        layout) are *reused* — new images are preprocessed, projected
-        through the frozen PCA basis, placed into the existing 2-D map
-        with :meth:`repro.embed.umap.UMAP.transform`, assigned the
-        nearest embedded cluster's label, and ABOD-scored against the
-        combined latent population.  Orders of magnitude cheaper than
-        re-analyzing, at the cost of not letting the map itself evolve;
-        call :meth:`analyze` periodically to refresh the reference.
-
-        Parameters
-        ----------
-        images:
-            ``(m, h, w)`` new frames.  They are *not* added to the
-            sketch — feed them through :meth:`consume` as well if they
-            should also update the online model.
-
-        Returns
-        -------
-        MonitoringResult
-            Result for the new shots only (timings cover this call).
-        """
-        if self._analysis is None:
-            raise RuntimeError("call analyze() before score_new()")
-        if self._analysis_pca is None:
-            raise RuntimeError(
-                "the last analyze() degraded at the projection stage; "
-                "no PCA basis is available to score new shots against"
-            )
-        timings: dict[str, float] = {}
-        with self.registry.span("score.project") as sp:
-            rows = self.preprocessor.apply_flat(images)
-            latent = self._analysis_pca.transform(rows)
-        timings["project"] = sp.elapsed
-
-        with self.registry.span("score.umap") as sp:
-            if self._analysis_umap is not None:
-                embedding = self._analysis_umap.transform(latent)
-            else:
-                # The reference analysis fell back to PCA axes as its
-                # embedding; place new shots the same way.
-                n_emb = self._analysis.embedding.shape[1]
-                embedding = np.zeros((latent.shape[0], n_emb))
-                take = min(n_emb, latent.shape[1])
-                embedding[:, :take] = latent[:, :take]
-        timings["umap"] = sp.elapsed
-
-        # Nearest-reference-neighbour label transfer.
-        with self.registry.span("score.label_transfer") as sp:
-            ref = self._analysis.embedding
-            d2 = (
-                np.einsum("ij,ij->i", embedding, embedding)[:, None]
-                + np.einsum("ij,ij->i", ref, ref)[None, :]
-                - 2.0 * embedding @ ref.T
-            )
-            labels = self._analysis.labels[np.argmin(d2, axis=1)]
-        timings["label_transfer"] = sp.elapsed
-
-        if self.outlier_contamination is not None:
-            with self.registry.span("score.abod") as sp:
-                combined = np.vstack([self._analysis.latent, latent])
-                mask, scores = abod_outliers(
-                    combined,
-                    contamination=self.outlier_contamination,
-                    n_neighbors=min(self.outlier_neighbors, combined.shape[0] - 1),
-                )
-                outliers = mask[-latent.shape[0]:]
-                out_scores = scores[-latent.shape[0]:]
-            timings["abod"] = sp.elapsed
-        else:
-            outliers = np.zeros(latent.shape[0], dtype=bool)
-            out_scores = np.zeros(latent.shape[0])
-
-        return MonitoringResult(
-            latent=latent,
-            embedding=embedding,
-            labels=labels,
-            outliers=outliers,
-            outlier_scores=out_scores,
-            explained_variance_ratio=self._analysis.explained_variance_ratio,
-            timings=timings,
-        )
 
     def throughput_hz(self) -> float:
         """Achieved ingest rate: images per second of preprocess+sketch."""

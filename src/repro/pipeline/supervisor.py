@@ -50,7 +50,8 @@ class DegradedResult:
     error:
         ``"ExcType: message"`` of the primary failure (``None`` when ok).
     seconds:
-        Wall-clock seconds spent in the stage (primary plus fallback).
+        Wall-clock seconds spent in the stage (primary, validator and
+        fallback), read from its ``analyze.<stage>`` span.
     """
 
     stage: str
@@ -73,9 +74,9 @@ class StageSupervisor:
     Parameters
     ----------
     registry:
-        Metric registry receiving ``pipeline_stage_failures_total`` and
-        the ``pipeline_degraded`` gauge; ``None`` uses the process
-        default.
+        Metric registry receiving the ``analyze.<stage>`` spans,
+        ``pipeline_stage_failures_total`` and the ``pipeline_degraded``
+        gauge; ``None`` uses the process default.
     """
 
     def __init__(self, registry=None):
@@ -101,10 +102,14 @@ class StageSupervisor:
     ):
         """Run ``primary``; on any stage-scoped failure return ``fallback()``.
 
+        The primary, the validator and any fallback run inside one
+        ``analyze.<stage>`` span, whose elapsed wall seconds become the
+        stage's :attr:`DegradedResult.seconds`.
+
         Parameters
         ----------
         stage:
-            Stage name used in results and metric labels.
+            Stage name used in results, metric labels and the span name.
         primary:
             Zero-argument callable computing the stage output.
         fallback:
@@ -120,43 +125,33 @@ class StageSupervisor:
             string to reject it (degenerate-but-not-raising outputs:
             NaNs from a diverged layout), ``None`` to accept.
         """
-        try:
-            value = primary()
-            if validate is not None:
-                problem = validate(value)
-                if problem:
-                    raise StageFailure(problem)
-        except Exception as exc:  # noqa: BLE001 - the sanctioned stage boundary
-            # Stage primaries are open-ended numerical code; anything
-            # they raise is stage-scoped by construction (they touch no
-            # pipeline state).  The catch is loud: counted, recorded,
-            # and surfaced in the operator report.
-            self.registry.counter(
-                "pipeline_stage_failures_total",
-                labels={"stage": stage},
-                help="Analysis stage failures replaced by fallbacks",
-            ).inc()
-            self._degraded_gauge.set(1.0)
-            self.results[stage] = DegradedResult(
-                stage=stage,
-                status="degraded",
-                fallback=fallback_desc,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            return fallback()
-        self.results[stage] = DegradedResult(stage=stage)
+        with self.registry.span(f"analyze.{stage}") as sp:
+            try:
+                value = primary()
+                if validate is not None:
+                    problem = validate(value)
+                    if problem:
+                        raise StageFailure(problem)
+            except Exception as exc:  # noqa: BLE001 - the sanctioned stage boundary
+                # Stage primaries are open-ended numerical code; anything
+                # they raise is stage-scoped by construction (they touch no
+                # pipeline state).  The catch is loud: counted, recorded,
+                # and surfaced in the operator report.
+                self.registry.counter(
+                    "pipeline_stage_failures_total",
+                    labels={"stage": stage},
+                    help="Analysis stage failures replaced by fallbacks",
+                ).inc()
+                self._degraded_gauge.set(1.0)
+                result = DegradedResult(
+                    stage=stage,
+                    status="degraded",
+                    fallback=fallback_desc,
+                    error=f"{type(exc).__name__}: {exc}",
+                )
+                value = fallback()
+            else:
+                result = DegradedResult(stage=stage)
+        result.seconds = sp.elapsed
+        self.results[stage] = result
         return value
-
-    def set_seconds(self, stage: str, seconds: float) -> None:
-        """Record the stage's wall-clock time (span-measured by the caller)."""
-        if stage in self.results:
-            self.results[stage].seconds = float(seconds)
-
-    @property
-    def degraded(self) -> bool:
-        """True when any supervised stage substituted its fallback."""
-        return any(r.status != "ok" for r in self.results.values())
-
-    def summary(self) -> dict:
-        """Plain-data per-stage outcomes (feeds CLI and HTML report)."""
-        return {name: r.to_dict() for name, r in self.results.items()}

@@ -628,7 +628,7 @@ class SketchFleet:
             self.trace_sink.emit(
                 "f",
                 req.trace,
-                process="fleet",
+                process="serve",
                 lane=1,
                 t=now,
                 name=f"answer {req.kind} #{req.seq}"
@@ -692,8 +692,8 @@ class SketchFleet:
         if self.trace_sink is not None and self.trace_context is not None:
             self.trace_sink.instant(
                 self.trace_context.child(f"kill:{name}"),
-                process="fleet",
-                lane=0,
+                process="serve",
+                lane=3,
                 t=now,
                 name=f"kill {name} (+failover)",
             )

@@ -87,19 +87,6 @@ class TestCosineUMAP:
         spread = max(emb[:60].std(), emb[60:].std())
         assert np.linalg.norm(c1 - c2) > 3 * spread
 
-    def test_cosine_transform(self, rng):
-        x = np.vstack([
-            rng.normal(3, 0.2, (40, 6)),
-            rng.normal(-3, 0.2, (40, 6)),
-        ])
-        model = UMAP(n_neighbors=8, metric="cosine", random_state=0,
-                     n_epochs=80).fit(x)
-        out = model.transform(x[:5] * 7.0)  # rescaled copies
-        # Scale-invariant: rescaled points land near their originals.
-        d = np.linalg.norm(out - model.embedding_[:5], axis=1)
-        spread = model.embedding_.std()
-        assert np.all(d < spread)
-
     def test_nn_descent_cosine_backend(self, rng):
         x = rng.standard_normal((100, 6))
         emb = UMAP(n_neighbors=8, metric="cosine", knn_method="nn_descent",

@@ -196,42 +196,30 @@ class TestClusterBackends:
         assert abs(res_o.n_clusters - res_h.n_clusters) <= 4
 
 
-class TestOnlineScoring:
-    def test_score_new_before_analyze_raises(self, beam_images):
-        images, _ = beam_images
-        pipe = make_pipe().consume(images)
-        with pytest.raises(RuntimeError, match="analyze"):
-            pipe.score_new(images[:5])
+class TestStageSeconds:
+    """A stage's seconds have one source, the supervisor's
+    ``analyze.<stage>`` span: ``stages``, ``timings`` and the span
+    histogram agree, for a degraded stage too."""
 
-    def test_score_new_shapes_and_timings(self, beam_images):
-        images, _ = beam_images
+    @pytest.mark.parametrize("umap_fails", [False, True])
+    def test_timings_stages_and_spans_agree(self, beam_images, monkeypatch, umap_fails):
+        if umap_fails:
+
+            def boom(*a, **kw):
+                raise RuntimeError("synthetic UMAP failure")
+
+            monkeypatch.setattr("repro.pipeline.monitor.UMAP", boom)
         pipe = make_pipe()
-        pipe.consume(images).analyze()
-        out = pipe.score_new(images[:20])
-        assert out.embedding.shape == (20, 2)
-        assert out.labels.shape == (20,)
-        assert out.outliers.shape == (20,)
-        assert set(out.timings) >= {"project", "umap", "label_transfer"}
-
-    def test_rescored_training_shots_land_nearby(self, beam_images):
-        """Scoring the training shots themselves must place them close
-        to their original embedding and transfer the right labels."""
-        images, _ = beam_images
-        pipe = make_pipe(umap={"n_epochs": 120, "n_neighbors": 12})
-        ref = pipe.consume(images).analyze()
-        out = pipe.score_new(images[:40])
-        d = np.linalg.norm(out.embedding - ref.embedding[:40], axis=1)
-        spread = ref.embedding.std()
-        assert np.median(d) < spread
-        agree = (out.labels == ref.labels[:40]).mean()
-        assert agree > 0.7
-
-    def test_score_new_much_faster_than_analyze(self, beam_images):
-        images, _ = beam_images
-        pipe = make_pipe()
-        full = pipe.consume(images).analyze()
-        out = pipe.score_new(images[:25])
-        assert sum(out.timings.values()) < sum(full.timings.values())
+        res = pipe.consume(beam_images[0][:120]).analyze()
+        assert list(res.timings) == ["project", "umap", "optics", "abod"]
+        for name, stage in res.stages.items():
+            span = pipe.registry.get_sample(
+                "repro_span_seconds", {"span": f"analyze.{name}"}
+            )
+            assert span.count == 1
+            assert res.timings[name] == stage.seconds == span.sum
+        assert res.stages["umap"].ok is not umap_fails
+        assert res.stages["umap"].seconds > 0
 
 
 class TestStrideSample:

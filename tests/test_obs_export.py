@@ -179,6 +179,44 @@ class TestChromeTrace:
     def test_empty_inputs(self):
         assert chrome_trace() == {"traceEvents": []}
 
+    @pytest.mark.timeout(120)
+    def test_fleet_trace_names_every_lane(self, tmp_path, capsys):
+        """Every fleet flow point lands on a named process and lane, and
+        the shard kill sits on the lane named "kills"."""
+        from repro.cli import main
+
+        path = tmp_path / "t.json"
+        assert main([
+            "fleet", "--replay", "--batches", "6", "--ingest-ranks", "2",
+            "--kill", "seed=1; kill shard=shard-1 batch=2",
+            "--trace-out", str(path),
+        ]) == 0
+        capsys.readouterr()
+        events = json.loads(path.read_text())["traceEvents"]
+        processes = {
+            e["pid"] for e in events if e["ph"] == "M" and e["name"] == "process_name"
+        }
+        lanes = {
+            (e["pid"], e["tid"]): e["args"]["name"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        points = [e for e in events if e["ph"] in ("s", "f", "i")]
+        assert points
+        for e in points:
+            assert e["pid"] in processes, e
+            assert (e["pid"], e["tid"]) in lanes, e
+        kills = [e for e in points if e["name"].startswith("kill ")]
+        assert len(kills) == 1
+        assert lanes[(kills[0]["pid"], kills[0]["tid"])] == "kills"
+
+    def test_sink_rejects_unknown_process(self):
+        from repro.obs.trace_context import TraceContext, TraceSink
+
+        with pytest.raises(ValueError, match="process"):
+            TraceSink().emit("i", TraceContext.root("t"), process="fleet",
+                             lane=0, t=0.0, name="kill")
+
 
 class TestWriters:
     def test_write_prom(self, tmp_path):

@@ -91,45 +91,3 @@ class TestValidation:
     def test_requires_2d_input(self, rng):
         with pytest.raises(ValueError, match="2-D"):
             UMAP().fit(rng.standard_normal(10))
-
-    def test_transform_before_fit(self, rng):
-        with pytest.raises(RuntimeError, match="fitted"):
-            UMAP().transform(rng.standard_normal((3, 4)))
-
-
-class TestTransform:
-    @pytest.fixture(scope="class")
-    def fitted(self, blobs_10d):
-        x, labels = blobs_10d
-        model = UMAP(n_neighbors=12, random_state=0, n_epochs=200).fit(x)
-        return model, x, labels
-
-    def test_transform_shape(self, fitted, rng):
-        model, x, _ = fitted
-        out = model.transform(x[:7] + rng.normal(0, 0.01, (7, 10)))
-        assert out.shape == (7, 2)
-
-    def test_new_points_land_near_their_cluster(self, fitted):
-        model, x, labels = fitted
-        gen = np.random.default_rng(9)
-        # New points drawn at cluster-0's center must embed near
-        # cluster-0's embedded centroid.
-        center = x[labels == 0].mean(axis=0)
-        new = center + gen.normal(0, 0.1, size=(10, 10))
-        out = model.transform(new)
-        c0 = model.embedding_[labels == 0].mean(axis=0)
-        others = [model.embedding_[labels == c].mean(axis=0) for c in (1, 2, 3)]
-        d0 = np.linalg.norm(out - c0, axis=1).mean()
-        d_others = min(np.linalg.norm(out - c, axis=1).mean() for c in others)
-        assert d0 < d_others / 3
-
-    def test_feature_mismatch(self, fitted, rng):
-        model, _, _ = fitted
-        with pytest.raises(ValueError, match="features"):
-            model.transform(rng.standard_normal((2, 9)))
-
-    def test_barycenter_only_mode(self, fitted):
-        model, x, _ = fitted
-        out = model.transform(x[:5], refine_epochs=0)
-        assert out.shape == (5, 2)
-        assert np.all(np.isfinite(out))

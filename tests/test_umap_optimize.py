@@ -86,21 +86,6 @@ class TestOptimizeLayout:
         optimize_layout(emb, g, 10, 1.5, 0.9, rng)
         np.testing.assert_array_equal(emb, before)
 
-    def test_fixed_reference_does_not_move(self, two_cluster_graph, rng):
-        """transform-mode: the training layout must stay frozen."""
-        train_emb = rng.uniform(-5, 5, size=(80, 2))
-        frozen = train_emb.copy()
-        new_emb = rng.uniform(-5, 5, size=(12, 2))
-        # Cross-graph: 12 new points attracted to training points.
-        rows = np.repeat(np.arange(12), 3)
-        cols = rng.integers(0, 80, size=36)
-        g = scipy.sparse.coo_matrix((np.ones(36), (rows, cols)), shape=(12, 80))
-        optimize_layout(
-            new_emb, g, 20, 1.5, 0.9, rng,
-            move_other=False, fixed_embedding=train_emb,
-        )
-        np.testing.assert_array_equal(train_emb, frozen)
-
     def test_gradients_bounded(self, two_cluster_graph, rng):
         """No update may explode: positions stay finite and bounded."""
         emb = rng.uniform(-10, 10, size=(80, 2))
