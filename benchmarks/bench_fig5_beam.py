@@ -31,7 +31,11 @@ from repro.data.beam import (
     measured_circularity,
 )
 from repro.pipeline.monitor import MonitoringPipeline
-from repro.pipeline.results import ascii_density_map, embedding_axis_correlations
+from repro.pipeline.results import (
+    ascii_density_map,
+    embedding_axis_correlations,
+    knn_decodability,
+)
 
 N_SHOTS = 1200
 
@@ -54,23 +58,6 @@ def _run_pipeline():
     return images, truth, pipe, pipe.analyze()
 
 
-def _knn_decodability(embedding: np.ndarray, target: np.ndarray, k: int = 10) -> float:
-    """R^2 of predicting a statistic from each point's embedding
-    neighbours — "can an operator read the factor off the map?".
-
-    UMAP preserves neighbourhoods, not linear axes; a factor the map
-    organizes along a *curved* direction scores low on Pearson axis
-    correlation but high here.
-    """
-    from repro.embed.knn import knn_brute
-
-    idx, _ = knn_brute(embedding, k)
-    pred = target[idx].mean(axis=1)
-    ss_res = float(np.sum((target - pred) ** 2))
-    ss_tot = float(np.sum((target - target.mean()) ** 2))
-    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-
-
 def test_fig5_beam_profile_embedding(benchmark, table):
     images, truth, pipe, res = benchmark.pedantic(_run_pipeline, rounds=1, iterations=1)
     exotic = truth["exotic"]
@@ -82,7 +69,7 @@ def test_fig5_beam_profile_embedding(benchmark, table):
     }
     corr = embedding_axis_correlations(res.embedding, stats, mask=~exotic)
     decode = {
-        name: _knn_decodability(res.embedding[~exotic], stat[~exotic])
+        name: knn_decodability(res.embedding[~exotic], stat[~exotic])
         for name, stat in stats.items()
     }
     table(
@@ -115,7 +102,7 @@ def test_fig5_beam_profile_embedding(benchmark, table):
     # The paper's qualitative claims, quantified.  Circularity aligns
     # with an axis; asymmetry is organized by the map but may lie along
     # a curved direction, so it is scored by local decodability (see
-    # _knn_decodability) with the axis correlation as an alternative.
+    # knn_decodability) with the axis correlation as an alternative.
     assert corr["circularity (measured)"][0] > 0.6, "one axis must track circularity"
     assert (
         corr["asymmetry (truth)"][0] > 0.6 or decode["asymmetry (truth)"] > 0.4

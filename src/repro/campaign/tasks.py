@@ -39,8 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.campaign.spec import TaskSpec
-from repro.data.beam import BeamProfileConfig, BeamProfileGenerator
-from repro.data.diffraction import DiffractionConfig, DiffractionGenerator
+from repro.data import scenario_generator
 from repro.parallel.faults import CampaignFaultInjector
 from repro.pipeline.checkpoint import (
     CheckpointCorruptionError,
@@ -139,16 +138,6 @@ def batch_sizes(shots: int, batch: int) -> list[int]:
     if shots % batch:
         sizes.append(shots % batch)
     return sizes
-
-
-def _make_generator(task: TaskSpec):
-    det = task.detector
-    shape = (det.size, det.size)
-    if det.scenario == "beam":
-        return BeamProfileGenerator(BeamProfileConfig(shape=shape), seed=task.seed)
-    if det.scenario == "diffraction":
-        return DiffractionGenerator(DiffractionConfig(shape=shape), seed=task.seed)
-    raise ValueError(f"unknown scenario {det.scenario!r}")  # pragma: no cover
 
 
 def _fresh_pipeline(task: TaskSpec) -> MonitoringPipeline:
@@ -255,7 +244,7 @@ def run_task_attempt(
     if injector is not None:
         kill_at = injector.kill_batch(task.task_id, attempt)
 
-    gen = _make_generator(task)
+    gen = scenario_generator(task.detector.scenario, task.detector.size, task.seed)
     sizes = batch_sizes(task.run.shots, task.run.batch)
     already_offered = pipe.n_offered
     skipped = 0

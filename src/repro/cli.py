@@ -63,11 +63,60 @@ produces a meaningful demonstration in under a minute on one core.
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
+from typing import Any, Callable
 
 import numpy as np
 
 __all__ = ["main", "build_parser"]
+
+
+def _spec(parse: str | Callable[[str], Any]) -> Callable[[str], Any]:
+    """argparse ``type=`` for a spec flag, so the handler gets it parsed.
+
+    ``parse`` is a function of the flag's text, or ``"module:Plan"`` for
+    that plan class's ``parse`` (imported when the flag is read).  Its
+    ``ValueError`` becomes a usage error: exit 2 with ``argument --X:
+    <message>``, before any work starts.
+    """
+
+    def convert(text: str) -> Any:
+        fn = parse
+        if isinstance(fn, str):
+            module, _, name = fn.partition(":")
+            fn = getattr(importlib.import_module(module), name).parse
+        try:
+            return fn(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
+
+
+def _alert_rules(text: str) -> list:
+    """``--alert-rules``: one alert rule per ``;``-separated clause."""
+    from repro.obs import parse_rules
+
+    return parse_rules(text.replace(";", "\n"))
+
+
+def _tenant_mix(text: str) -> list[tuple[str, int]]:
+    """``--tenants``: a ``tier:count,...`` mix as ``(tier, count)`` pairs."""
+    from repro.serve import TENANT_TIERS
+
+    mix = []
+    for clause in filter(None, (c.strip() for c in text.split(","))):
+        tier, _, count = clause.partition(":")
+        if tier not in TENANT_TIERS:
+            raise ValueError(
+                f"unknown tenant tier {tier!r}; expected one of "
+                f"{sorted(TENANT_TIERS)}"
+            )
+        mix.append((tier, int(count or 1)))
+    if not any(count > 0 for _, count in mix):
+        raise ValueError(f"empty tenant mix {text!r}")
+    return mix
 
 
 def _add_metrics_args(parser: argparse.ArgumentParser) -> None:
@@ -83,20 +132,72 @@ def _add_metrics_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _command_registry():
-    """Fresh per-command registry, installed as the process default.
+def _add_stream_args(parser: argparse.ArgumentParser, shots: int, size: int) -> None:
+    """The synthetic stream and sketch size ``monitor``, ``serve`` and
+    ``top`` share; each command passes its own defaults."""
+    parser.add_argument("--scenario", choices=["beam", "diffraction"], default="beam")
+    parser.add_argument("--shots", type=int, default=shots)
+    parser.add_argument("--size", type=int, default=size, help="frame side length")
+    parser.add_argument("--ell", type=int, default=24, help="initial sketch size")
+    parser.add_argument("--seed", type=int, default=0)
 
-    Module-level instrumentation (e.g. the rotation-kernel counter in
-    ``repro.linalg.svd``) reports to the default registry, so installing
-    the command's registry there makes those samples land in the same
-    ``--metrics-out`` snapshot as the observer-driven ones.  ``main``
-    restores the previous default after the command returns.
-    """
-    from repro.obs.registry import Registry, set_default_registry
 
-    registry = Registry()
-    set_default_registry(registry)
-    return registry
+def _add_sketch_args(parser: argparse.ArgumentParser) -> None:
+    """The ARAMS and backend flags ``monitor`` and ``serve`` share."""
+    parser.add_argument("--beta", type=float, default=0.8, help="sampling fraction")
+    parser.add_argument("--epsilon", type=float, default=0.05, help="error tolerance")
+    parser.add_argument(
+        "--backend", choices=["auto", "fd", "ipca", "rrf"], default="fd",
+        help="sketch backend; 'auto' probes the stream regime and picks "
+             "the fastest backend meeting --target-error "
+             "(see docs/backends.md); non-fd backends disable --epsilon "
+             "rank adaptation",
+    )
+    parser.add_argument(
+        "--target-error", type=float, default=None, metavar="REL",
+        help="relative covariance-error target for --backend auto "
+             "(default: select on accuracy alone)",
+    )
+
+
+def _add_replay_args(parser: argparse.ArgumentParser, queries_per_batch: int) -> None:
+    """The serve replay's batching, load and alert flags ``serve`` and
+    ``top`` share."""
+    parser.add_argument("--batch", type=int, default=100, help="frames per ingest batch")
+    parser.add_argument(
+        "--publish-every", type=int, default=2, metavar="N",
+        help="publish a sketch snapshot every N consumed batches",
+    )
+    parser.add_argument(
+        "--queries-per-batch", type=int, default=queries_per_batch, metavar="Q",
+        help="queries the load generator issues per ingest batch",
+    )
+    parser.add_argument(
+        "--alert-rules", type=_spec(_alert_rules), default=None, metavar="SPEC",
+        help="extra alert rules, one per ';'-separated clause "
+             "(syntax in docs/observability.md); the built-in rules "
+             "are always installed",
+    )
+
+
+def _trace_setup(args: argparse.Namespace, name: str):
+    """``(sink, root context)`` for ``--trace-out``, else ``(None, None)``."""
+    if not args.trace_out:
+        return None, None
+    from repro.obs import TraceContext, TraceSink
+
+    return TraceSink(), TraceContext.root(f"{name}-replay-seed{args.seed}")
+
+
+def _write_trace(args: argparse.Namespace, registry, sink, lanes) -> None:
+    if args.trace_out:
+        from repro.obs import write_chrome_trace
+
+        path = write_chrome_trace(
+            args.trace_out, registry=registry, sink=sink, serve_lanes=lanes
+        )
+        print(f"merged trace written to {path} "
+              f"({len(sink.points)} flow points)")
 
 
 def _write_metrics(registry, args: argparse.Namespace, alerts=()) -> None:
@@ -118,32 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     mon = sub.add_parser("monitor", help="run the full monitoring pipeline")
-    mon.add_argument("--scenario", choices=["beam", "diffraction"], default="beam")
-    mon.add_argument("--shots", type=int, default=600)
-    mon.add_argument("--size", type=int, default=64, help="frame side length")
-    mon.add_argument("--ell", type=int, default=24, help="initial sketch size")
-    mon.add_argument("--beta", type=float, default=0.8, help="sampling fraction")
-    mon.add_argument("--epsilon", type=float, default=0.05, help="error tolerance")
-    mon.add_argument("--seed", type=int, default=0)
-    mon.add_argument(
-        "--backend", choices=["auto", "fd", "ipca", "rrf"], default="fd",
-        help="sketch backend; 'auto' probes the stream regime and picks "
-             "the fastest backend meeting --target-error "
-             "(see docs/backends.md); non-fd backends disable --epsilon "
-             "rank adaptation",
-    )
-    mon.add_argument(
-        "--target-error", type=float, default=None, metavar="REL",
-        help="relative covariance-error target for --backend auto "
-             "(default: select on accuracy alone)",
-    )
+    _add_stream_args(mon, shots=600, size=64)
+    _add_sketch_args(mon)
     mon.add_argument("--csv", type=str, default=None, help="export embedding CSV")
     mon.add_argument("--html", type=str, default=None,
                      help="write an interactive HTML report (Bokeh-style)")
     mon.add_argument("--cluster", choices=["optics", "hdbscan"], default="optics",
                      help="clustering backend")
     mon.add_argument(
-        "--corruption", type=str, default=None, metavar="SPEC",
+        "--corruption", type=_spec("repro.data.stream:CorruptionPlan"),
+        default=None, metavar="SPEC",
         help="inject seeded detector corruption upstream of the guard: "
              "'seed=N; kind key=value ...' clauses (kinds: nan, shape, "
              "dup, drop, zero, hot); see docs/data_robustness.md",
@@ -203,33 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
              "virtual-clock load generator (the only serving mode "
              "available offline; required)",
     )
-    ser.add_argument("--scenario", choices=["beam", "diffraction"], default="beam")
-    ser.add_argument("--shots", type=int, default=600)
-    ser.add_argument("--size", type=int, default=48, help="frame side length")
-    ser.add_argument("--batch", type=int, default=100, help="frames per ingest batch")
-    ser.add_argument("--ell", type=int, default=24, help="initial sketch size")
-    ser.add_argument("--beta", type=float, default=0.8, help="sampling fraction")
-    ser.add_argument("--epsilon", type=float, default=0.05, help="error tolerance")
-    ser.add_argument("--seed", type=int, default=0)
-    ser.add_argument(
-        "--backend", choices=["auto", "fd", "ipca", "rrf"], default="fd",
-        help="sketch backend behind the snapshot store ('auto' probes "
-             "the regime; see docs/backends.md)",
-    )
-    ser.add_argument(
-        "--target-error", type=float, default=None, metavar="REL",
-        help="relative covariance-error target for --backend auto",
-    )
-    ser.add_argument(
-        "--publish-every", type=int, default=2, metavar="N",
-        help="publish a sketch snapshot every N consumed batches",
-    )
+    _add_stream_args(ser, shots=600, size=48)
+    _add_sketch_args(ser)
+    _add_replay_args(ser, queries_per_batch=10)
     ser.add_argument(
         "--keep", type=int, default=8, help="snapshots retained in the store"
-    )
-    ser.add_argument(
-        "--queries-per-batch", type=int, default=10, metavar="Q",
-        help="queries the load generator issues per ingest batch",
     )
     ser.add_argument(
         "--rate", type=float, default=20.0,
@@ -258,12 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
              "arrows, alert markers) to PATH on exit",
     )
     ser.add_argument(
-        "--alert-rules", type=str, default=None, metavar="SPEC",
-        help="extra alert rules, one per ';'-separated clause "
-             "(syntax in docs/observability.md); the built-in FD-bound "
-             "and serve-p99 SLO rules are always installed",
-    )
-    ser.add_argument(
         "--slo-p99", type=float, default=0.05, metavar="SECONDS",
         help="serve-latency SLO objective: p99 of project queries "
              "(burn-rate alert fires when >10%% of the trailing window "
@@ -286,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replicas per stream (>= 2 buys zero-loss failover)",
     )
     flt.add_argument(
-        "--tenants", type=str, default="paid:1,standard:2,free:2",
+        "--tenants", type=_spec(_tenant_mix), default="paid:1,standard:2,free:2",
         metavar="SPEC",
         help="tenant mix as 'tier:count,...' over paid/standard/free",
     )
@@ -330,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-shard local query-cache entries (0 disables)",
     )
     flt.add_argument(
-        "--kill", type=str, default=None, metavar="SPEC",
+        "--kill", type=_spec("repro.serve.fleet:FleetFaultPlan"), default=None,
+        metavar="SPEC",
         help="fleet fault plan: 'seed=N; kill shard=shard-1 batch=4' "
              "clauses; failover is replayed bit-identically",
     )
@@ -357,24 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     top = sub.add_parser(
         "top", help="live metric/alert dashboard over a serve replay"
     )
-    top.add_argument("--scenario", choices=["beam", "diffraction"], default="beam")
-    top.add_argument("--shots", type=int, default=400)
-    top.add_argument("--size", type=int, default=48, help="frame side length")
-    top.add_argument("--batch", type=int, default=100, help="frames per ingest batch")
-    top.add_argument("--ell", type=int, default=24, help="initial sketch size")
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument(
-        "--publish-every", type=int, default=2, metavar="N",
-        help="publish a sketch snapshot every N consumed batches",
-    )
-    top.add_argument(
-        "--queries-per-batch", type=int, default=6, metavar="Q",
-        help="queries the load generator issues per ingest batch",
-    )
-    top.add_argument(
-        "--alert-rules", type=str, default=None, metavar="SPEC",
-        help="extra alert rules (';'-separated; see docs/observability.md)",
-    )
+    _add_stream_args(top, shots=400, size=48)
+    _add_replay_args(top, queries_per_batch=6)
     top.add_argument(
         "--plain", action="store_true",
         help="print frames sequentially instead of ANSI screen refresh",
@@ -382,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cha = sub.add_parser("chaos", help="distributed run under a seeded fault plan")
     cha.add_argument(
-        "--fault-plan", type=str, default="seed=7; kill rank=3 rotation=2",
+        "--fault-plan", type=_spec("repro.parallel.faults:FaultPlan"),
+        default="seed=7; kill rank=3 rotation=2",
         metavar="SPEC",
         help="fault plan spec: 'seed=N; kind key=value ...' clauses "
              "(kinds: drop, delay, corrupt, stall, kill); see "
@@ -421,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: a temporary directory discarded on exit)",
     )
     cam.add_argument(
-        "--faults", type=str, default=None, metavar="SPEC",
+        "--faults", type=_spec("repro.parallel.faults:CampaignFaultPlan"),
+        default=None, metavar="SPEC",
         help="campaign chaos plan: 'seed=N; kind task=PATTERN ...' "
              "clauses (kinds: kill, stall, corrupt_checkpoint); see "
              "docs/campaigns.md",
@@ -490,11 +534,10 @@ def _describe_backend(arams) -> str:
     return f"{name} (auto{target}; probe: {evidence})"
 
 
-def _cmd_monitor(args: argparse.Namespace) -> int:
+def _cmd_monitor(args: argparse.Namespace, registry) -> int:
     from repro.core.arams import ARAMSConfig
-    from repro.data.beam import BeamProfileConfig, BeamProfileGenerator
-    from repro.data.diffraction import DiffractionConfig, DiffractionGenerator
-    from repro.data.stream import CorruptionPlan, StreamCorruptor
+    from repro.data import scenario_generator
+    from repro.data.stream import StreamCorruptor
     from repro.pipeline.checkpoint import (
         load_pipeline_checkpoint,
         save_pipeline_checkpoint,
@@ -502,17 +545,14 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     from repro.pipeline.monitor import MonitoringPipeline
     from repro.pipeline.results import ascii_density_map, export_embedding_csv
 
-    registry = _command_registry()
     shape = (args.size, args.size)
-    if args.scenario == "beam":
-        gen = BeamProfileGenerator(BeamProfileConfig(shape=shape), seed=args.seed)
-    else:
-        gen = DiffractionGenerator(DiffractionConfig(shape=shape), seed=args.seed)
-    images, truth = gen.sample(args.shots)
+    images, truth = scenario_generator(args.scenario, args.size, args.seed).sample(
+        args.shots
+    )
 
     corruptor = None
-    if args.corruption:
-        corruptor = StreamCorruptor(CorruptionPlan.parse(args.corruption))
+    if args.corruption is not None:
+        corruptor = StreamCorruptor(args.corruption)
         if args.no_guard:
             print("note: --corruption requires the frame guard; ignoring --no-guard")
 
@@ -623,7 +663,7 @@ def _cmd_monitor(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_scaling(args: argparse.Namespace) -> int:
+def _cmd_scaling(args: argparse.Namespace, registry) -> int:
     from repro.data.synthetic import synthetic_dataset
     from repro.parallel.scaling import strong_scaling_study
 
@@ -642,13 +682,12 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sketch(args: argparse.Namespace) -> int:
+def _cmd_sketch(args: argparse.Namespace, registry) -> int:
     from repro.core.arams import ARAMS, ARAMSConfig
     from repro.core.errors import relative_covariance_error
     from repro.data.synthetic import synthetic_dataset
     from repro.obs.health import SketchHealth
 
-    registry = _command_registry()
     data = synthetic_dataset(
         n=args.rows, d=args.dim, rank=min(args.rows, args.dim) // 2,
         profile=args.profile, rate=0.05, seed=args.seed,
@@ -672,7 +711,7 @@ def _cmd_sketch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_xpcs(args: argparse.Namespace) -> int:
+def _cmd_xpcs(args: argparse.Namespace, registry) -> int:
     from repro.core.arams import ARAMSConfig
     from repro.data.beam import BeamProfileConfig, BeamProfileGenerator
     from repro.data.xpcs import XPCSConfig, XPCSGenerator, speckle_contrast
@@ -723,10 +762,9 @@ def _cmd_xpcs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _cmd_serve(args: argparse.Namespace, registry) -> int:
     from repro.core.arams import ARAMSConfig
-    from repro.data.beam import BeamProfileConfig, BeamProfileGenerator
-    from repro.data.diffraction import DiffractionConfig, DiffractionGenerator
+    from repro.data import scenario_generator
     from repro.pipeline.monitor import MonitoringPipeline
     from repro.serve import (
         QUERY_KINDS,
@@ -747,13 +785,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         return 2
 
-    registry = _command_registry()
     shape = (args.size, args.size)
-    if args.scenario == "beam":
-        gen = BeamProfileGenerator(BeamProfileConfig(shape=shape), seed=args.seed)
-    else:
-        gen = DiffractionGenerator(DiffractionConfig(shape=shape), seed=args.seed)
-    images, _ = gen.sample(args.shots)
+    images, _ = scenario_generator(args.scenario, args.size, args.seed).sample(args.shots)
 
     pipe = MonitoringPipeline(
         image_shape=shape,
@@ -769,12 +802,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     clock = VirtualClock()
     bucket = TokenBucket(rate=args.rate, burst=args.burst, clock=clock)
-    trace_sink = trace_root = None
-    if args.trace_out:
-        from repro.obs import TraceContext, TraceSink
-
-        trace_sink = TraceSink()
-        trace_root = TraceContext.root(f"serve-replay-seed{args.seed}")
+    trace_sink, trace_root = _trace_setup(args, "serve")
     admission = AdmissionController(
         clock,
         max_queue=args.queue_depth,
@@ -789,7 +817,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     # Timelines + alerting on the serving clock: the built-in FD-bound
     # SLO, a serve-p99 burn-rate SLO, plus any --alert-rules extras.
-    from repro.obs import AlertManager, BurnRateRule, FDBoundRule, Timeline, parse_rules
+    from repro.obs import AlertManager, BurnRateRule, FDBoundRule, Timeline
 
     timeline = Timeline(registry, clock=clock.now)
     for metric in ("arams_rank", "serve_queue_depth", "pipeline_images_total"):
@@ -809,13 +837,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 field="p99",
                 severity="warning",
             ),
+            *(args.alert_rules or ()),
         ],
         trace_sink=trace_sink,
         trace_context=trace_root,
     )
-    if args.alert_rules:
-        for rule in parse_rules(args.alert_rules.replace(";", "\n")):
-            alerts.add_rule(rule)
     pipe.attach_timeline(timeline)
     pipe.attach_alerts(alerts)
 
@@ -918,18 +944,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"  [{ev.at:8.3f}s] {ev.state:8s} {ev.rule} ({ev.severity}): "
               f"{ev.message}")
 
-    if args.trace_out:
-        from repro.obs import write_chrome_trace
-
-        path = write_chrome_trace(
-            args.trace_out,
-            registry=registry,
-            sink=trace_sink,
-            serve_lanes=((0, "submit"), (1, "answer"), (2, "epochs"),
-                         (99, "alerts")),
-        )
-        print(f"merged trace written to {path} "
-              f"({len(trace_sink.points)} flow points)")
+    _write_trace(args, registry, trace_sink,
+                 ((0, "submit"), (1, "answer"), (2, "epochs"), (99, "alerts")))
 
     if args.html:
         from repro.pipeline.html_report import write_embedding_report
@@ -973,36 +989,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_tenant_mix(spec: str, streams_per_tenant: int) -> list:
-    """Build TenantSpecs from a ``tier:count,...`` mix string."""
-    from repro.serve import TENANT_TIERS, TenantSpec
-
-    streams = tuple(f"det{i}" for i in range(streams_per_tenant))
-    tenants = []
-    for clause in spec.split(","):
-        clause = clause.strip()
-        if not clause:
-            continue
-        tier, _, count = clause.partition(":")
-        if tier not in TENANT_TIERS:
-            raise ValueError(
-                f"unknown tenant tier {tier!r}; expected one of "
-                f"{sorted(TENANT_TIERS)}"
-            )
-        for i in range(int(count or 1)):
-            tenants.append(
-                TenantSpec(f"{tier}{i}", tier=tier, streams=streams)
-            )
-    if not tenants:
-        raise ValueError(f"empty tenant mix {spec!r}")
-    return tenants
-
-
-def _cmd_fleet(args: argparse.Namespace) -> int:
+def _cmd_fleet(args: argparse.Namespace, registry) -> int:
     import json as _json
 
     from repro.obs.clock import StopWatch
-    from repro.serve import FleetFaultPlan, FleetReplay, SketchFleet
+    from repro.serve import FleetReplay, SketchFleet, TenantSpec
 
     if not args.replay:
         print(
@@ -1012,19 +1003,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         )
         return 2
 
-    registry = _command_registry()
-    try:
-        tenants = _parse_tenant_mix(args.tenants, args.streams_per_tenant)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    plan = FleetFaultPlan.parse(args.kill) if args.kill else None
-    trace_sink = trace_root = None
-    if args.trace_out:
-        from repro.obs import TraceContext, TraceSink
-
-        trace_sink = TraceSink()
-        trace_root = TraceContext.root(f"fleet-replay-seed{args.seed}")
+    streams = tuple(f"det{i}" for i in range(args.streams_per_tenant))
+    tenants = [
+        TenantSpec(f"{tier}{i}", tier=tier, streams=streams)
+        for tier, count in args.tenants
+        for i in range(count)
+    ]
+    trace_sink, trace_root = _trace_setup(args, "fleet")
 
     fleet = SketchFleet(
         tenants,
@@ -1038,7 +1023,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         local_cache_size=args.cache_size,
         max_queue=args.queue_depth,
         max_batch=args.max_batch,
-        fault_plan=plan,
+        fault_plan=args.kill,
         registry=registry,
         trace_sink=trace_sink,
         trace_context=trace_root,
@@ -1114,31 +1099,20 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                   f"{args.shards} shards)",
         )
         print(f"fleet panel written to {path}")
-    if args.trace_out:
-        from repro.obs import write_chrome_trace
-
-        path = write_chrome_trace(
-            args.trace_out,
-            registry=registry,
-            sink=trace_sink,
-            serve_lanes=((0, "submit"), (1, "answer"), (3, "kills")),
-        )
-        print(f"merged trace written to {path} "
-              f"({len(trace_sink.points)} flow points)")
+    _write_trace(args, registry, trace_sink,
+                 ((0, "submit"), (1, "answer"), (3, "kills")))
     _write_metrics(registry, args)
     return 0
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
+def _cmd_top(args: argparse.Namespace, registry) -> int:
     from repro.core.arams import ARAMSConfig
-    from repro.data.beam import BeamProfileConfig, BeamProfileGenerator
-    from repro.data.diffraction import DiffractionConfig, DiffractionGenerator
+    from repro.data import scenario_generator
     from repro.obs import (
         AlertManager,
         FDBoundRule,
         Timeline,
         ascii_sparkline,
-        parse_rules,
         render_alerts_table,
     )
     from repro.pipeline.monitor import MonitoringPipeline
@@ -1151,16 +1125,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
         VirtualClock,
     )
 
-    registry = _command_registry()
-    shape = (args.size, args.size)
-    if args.scenario == "beam":
-        gen = BeamProfileGenerator(BeamProfileConfig(shape=shape), seed=args.seed)
-    else:
-        gen = DiffractionGenerator(DiffractionConfig(shape=shape), seed=args.seed)
-    images, _ = gen.sample(args.shots)
+    images, _ = scenario_generator(args.scenario, args.size, args.seed).sample(args.shots)
 
     pipe = MonitoringPipeline(
-        image_shape=shape,
+        image_shape=(args.size, args.size),
         seed=args.seed,
         sketch=ARAMSConfig(ell=args.ell, beta=0.8, epsilon=0.05, seed=args.seed),
         registry=registry,
@@ -1182,10 +1150,9 @@ def _cmd_top(args: argparse.Namespace) -> int:
     ]
     for metric, labels, field, _title in tracked:
         timeline.track(metric, labels, field=field)
-    alerts = AlertManager(timeline, rules=[FDBoundRule(ell=args.ell)])
-    if args.alert_rules:
-        for rule in parse_rules(args.alert_rules.replace(";", "\n")):
-            alerts.add_rule(rule)
+    alerts = AlertManager(
+        timeline, rules=[FDBoundRule(ell=args.ell), *(args.alert_rules or ())]
+    )
     pipe.attach_timeline(timeline)
     pipe.attach_alerts(alerts)
 
@@ -1253,13 +1220,12 @@ def _cmd_top(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
+def _cmd_chaos(args: argparse.Namespace, registry) -> int:
     from repro.core.errors import relative_covariance_error
     from repro.data.synthetic import sharded_synthetic_dataset
-    from repro.parallel import ComputeCostModel, DistributedSketchRunner, FaultPlan
+    from repro.parallel import ComputeCostModel, DistributedSketchRunner
 
-    plan = FaultPlan.parse(args.fault_plan)
-    registry = _command_registry()
+    plan = args.fault_plan
     shards = sharded_synthetic_dataset(
         n_shards=args.ranks, rows_per_shard=args.rows_per_rank, d=args.dim,
         rank=min(args.dim, args.rows_per_rank) // 2, profile="cubic",
@@ -1320,15 +1286,15 @@ DEMO_CAMPAIGN = {
 """The built-in demo matrix ``repro-monitor campaign`` runs by default."""
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
+def _cmd_campaign(args: argparse.Namespace, registry) -> int:
     import tempfile
+    from contextlib import ExitStack
     from dataclasses import replace as dc_replace
     from pathlib import Path
 
     from repro.campaign import CampaignSpec, CampaignSpecError
     from repro.campaign.scheduler import CampaignScheduler
 
-    registry = _command_registry()
     try:
         if args.spec:
             spec = CampaignSpec.from_file(args.spec)
@@ -1336,24 +1302,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             spec = CampaignSpec.from_dict(DEMO_CAMPAIGN)
         if args.seed is not None:
             spec = dc_replace(spec, seed=args.seed)
-        if args.workdir:
-            workdir = Path(args.workdir)
+        with ExitStack() as stack:
+            workdir = Path(args.workdir or stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-campaign-")
+            ))
             workdir.mkdir(parents=True, exist_ok=True)
             scheduler = CampaignScheduler(
                 spec, workdir, faults=args.faults, registry=registry
             )
             report = scheduler.run(wall_timeout=args.wall_timeout)
-        else:
-            with tempfile.TemporaryDirectory(prefix="repro-campaign-") as tmp:
-                scheduler = CampaignScheduler(
-                    spec, tmp, faults=args.faults, registry=registry
-                )
-                report = scheduler.run(wall_timeout=args.wall_timeout)
     except CampaignSpecError as exc:
         print(f"error: invalid campaign: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     doc = report.to_dict()
@@ -1367,7 +1326,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"retry policy   : max_attempts={policy.max_attempts} "
               f"base={policy.base}s factor={policy.factor} cap={policy.cap}s "
               f"jitter={policy.jitter}")
-        print(f"faults         : {args.faults or 'none'}")
+        print(f"faults         : {args.faults.to_spec() if args.faults else 'none'}")
         print(f"status         : {'DEGRADED' if doc['degraded'] else 'clean'} "
               f"({doc['tasks_succeeded']} succeeded, {doc['tasks_failed']} failed, "
               f"{doc['tasks_skipped']} skipped)")
@@ -1425,11 +1384,18 @@ def main(argv: list[str] | None = None) -> int:
         "chaos": _cmd_chaos,
         "campaign": _cmd_campaign,
     }
-    from repro.obs.registry import get_default_registry, set_default_registry
+    from repro.obs.registry import Registry, get_default_registry, set_default_registry
 
+    # Every command runs on a fresh registry installed as the process
+    # default, so module-level instrumentation (e.g. the rotation-kernel
+    # counter in ``repro.linalg.svd``) lands in the same ``--metrics-out``
+    # snapshot as the observer-driven samples, and nothing is left in
+    # the caller's registry.
     previous = get_default_registry()
+    registry = Registry()
+    set_default_registry(registry)
     try:
-        return handlers[args.command](args)
+        return handlers[args.command](args, registry)
     finally:
         set_default_registry(previous)
 

@@ -15,6 +15,9 @@
   benchmarks, plus seeded detector-corruption injection
   (:class:`CorruptionPlan`, :class:`CorruptedEventStream`) for the
   data-plane hardening tests (see ``docs/data_robustness.md``).
+
+:func:`scenario_generator` names the two image scenarios the CLI and
+campaign tasks stream: ``"beam"`` and ``"diffraction"``.
 """
 
 from repro.data.synthetic import (
@@ -44,6 +47,7 @@ from repro.data.xpcs import (
 )
 
 __all__ = [
+    "scenario_generator",
     "DECAY_PROFILES",
     "decay_singular_values",
     "synthetic_dataset",
@@ -66,3 +70,14 @@ __all__ = [
     "g2_correlation",
     "g2_multitau",
 ]
+
+
+def scenario_generator(scenario: str, size: int, seed: int):
+    """The seeded generator of ``size`` x ``size`` frames of a scenario,
+    ``"beam"`` or ``"diffraction"``, at its default configuration."""
+    shape = (size, size)
+    if scenario == "beam":
+        return BeamProfileGenerator(BeamProfileConfig(shape=shape), seed=seed)
+    if scenario == "diffraction":
+        return DiffractionGenerator(DiffractionConfig(shape=shape), seed=seed)
+    raise ValueError(f"unknown scenario {scenario!r}")

@@ -28,9 +28,11 @@ Two hardening layers live here (see ``docs/data_robustness.md``):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Protocol, Sequence
+from typing import Iterator, Protocol, Sequence
 
 import numpy as np
+
+from repro.plan import SeededPlan
 
 __all__ = [
     "ShotEvent",
@@ -290,24 +292,13 @@ class CorruptionRule:
         return True
 
 
-def _corruption_clause(rule: CorruptionRule) -> str:
-    defaults = CorruptionRule(rule.kind)
-    parts = [rule.kind]
-    for name in ("prob", "first", "last", "count", "pixels", "factor"):
-        value = getattr(rule, name)
-        if value != getattr(defaults, name):
-            parts.append(f"{name}={value:g}" if isinstance(value, float) else f"{name}={value}")
-    return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class CorruptionPlan:
+class CorruptionPlan(SeededPlan):
     """A seeded, declarative detector-corruption scenario.
 
     Mirrors :class:`repro.parallel.faults.FaultPlan`: build
     programmatically (:meth:`nan_burst`, :meth:`shape_glitch`, ...) or
-    parse a compact spec string — semicolon-separated clauses of
-    ``kind key=value ...`` with an optional leading ``seed=N``::
+    parse a spec string in the :mod:`repro.plan` clause grammar, whose
+    keys are :class:`CorruptionRule`'s fields::
 
         CorruptionPlan.parse("seed=7; nan prob=0.05 pixels=32; "
                              "dup prob=0.01; drop first=100 last=110")
@@ -318,12 +309,8 @@ class CorruptionPlan:
     shot_id])``).
     """
 
-    seed: int = 0
-    rules: tuple[CorruptionRule, ...] = ()
-
-    def with_rule(self, rule: CorruptionRule) -> "CorruptionPlan":
-        """Return a copy of this plan with ``rule`` appended."""
-        return CorruptionPlan(seed=self.seed, rules=self.rules + (rule,))
+    rule = CorruptionRule
+    label = "corruption"
 
     def nan_burst(
         self,
@@ -398,46 +385,6 @@ class CorruptionPlan:
         return self.with_rule(
             CorruptionRule("hot", prob=prob, factor=factor, first=first, last=last, count=count)
         )
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def parse(cls, spec: str) -> "CorruptionPlan":
-        """Parse the compact ``seed=N; kind key=value ...`` spec syntax."""
-        seed = 0
-        rules: list[CorruptionRule] = []
-        for clause in spec.split(";"):
-            clause = clause.strip()
-            if not clause:
-                continue
-            tokens = clause.split()
-            if len(tokens) == 1 and tokens[0].startswith("seed="):
-                seed = int(tokens[0][len("seed="):])
-                continue
-            kind = tokens[0]
-            kwargs: dict[str, Any] = {}
-            for token in tokens[1:]:
-                if "=" not in token:
-                    raise ValueError(
-                        f"malformed corruption clause {clause!r}: "
-                        f"expected key=value, got {token!r}"
-                    )
-                key, value = token.split("=", 1)
-                if key in ("prob", "factor"):
-                    kwargs[key] = float(value)
-                elif key in ("first", "last", "count", "pixels"):
-                    kwargs[key] = int(value)
-                else:
-                    raise ValueError(
-                        f"unknown corruption parameter {key!r} in clause {clause!r}"
-                    )
-            rules.append(CorruptionRule(kind, **kwargs))
-        return cls(seed=seed, rules=tuple(rules))
-
-    def to_spec(self) -> str:
-        """Inverse of :meth:`parse` (round-trips exactly)."""
-        clauses = [f"seed={self.seed}"]
-        clauses.extend(_corruption_clause(r) for r in self.rules)
-        return "; ".join(clauses)
 
 
 class StreamCorruptor:

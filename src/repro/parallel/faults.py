@@ -40,10 +40,12 @@ from __future__ import annotations
 import json
 import threading
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
+
+from repro.plan import SeededPlan
 
 __all__ = [
     "FaultRule",
@@ -143,23 +145,12 @@ class FaultRule:
         )
 
 
-def _rule_to_clause(rule: FaultRule) -> str:
-    parts = [rule.kind]
-    defaults = {f.name: f.default for f in fields(FaultRule)}
-    for name in ("source", "dest", "tag", "rank", "rotation", "seconds", "prob", "count", "op"):
-        value = getattr(rule, name)
-        if value != defaults[name]:
-            parts.append(f"{name}={value}")
-    return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(SeededPlan):
     """A seeded, declarative chaos scenario.
 
     Build programmatically (:meth:`kill`, :meth:`drop`, ...) or parse a
-    compact spec string — semicolon-separated clauses of
-    ``kind key=value ...`` with an optional leading ``seed=N``::
+    compact spec string in the :mod:`repro.plan` clause grammar, whose
+    keys are :class:`FaultRule`'s fields::
 
         FaultPlan.parse("seed=7; kill rank=3 rotation=2; "
                         "drop source=1 dest=0 prob=0.5")
@@ -169,12 +160,8 @@ class FaultPlan:
     report and always reproduce the same faults.
     """
 
-    seed: int = 0
-    rules: tuple[FaultRule, ...] = ()
-
-    def with_rule(self, rule: FaultRule) -> "FaultPlan":
-        """Return a copy of this plan with ``rule`` appended."""
-        return FaultPlan(seed=self.seed, rules=self.rules + (rule,))
+    rule = FaultRule
+    label = "fault"
 
     def kill(self, rank: int, rotation: int) -> "FaultPlan":
         """Kill ``rank`` once its sketcher reaches ``rotation`` shrinks."""
@@ -224,43 +211,6 @@ class FaultPlan:
     def stall(self, rank: int, seconds: float, op: int = 0) -> "FaultPlan":
         """Stall ``rank`` for ``seconds`` virtual seconds at comm op ``op``."""
         return self.with_rule(FaultRule("stall", rank=rank, seconds=seconds, op=op))
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def parse(cls, spec: str) -> "FaultPlan":
-        """Parse the compact ``seed=N; kind key=value ...`` spec syntax."""
-        seed = 0
-        rules: list[FaultRule] = []
-        for clause in spec.split(";"):
-            clause = clause.strip()
-            if not clause:
-                continue
-            tokens = clause.split()
-            if len(tokens) == 1 and tokens[0].startswith("seed="):
-                seed = int(tokens[0][len("seed="):])
-                continue
-            kind = tokens[0]
-            kwargs: dict[str, Any] = {}
-            for token in tokens[1:]:
-                if "=" not in token:
-                    raise ValueError(
-                        f"malformed fault clause {clause!r}: expected key=value, got {token!r}"
-                    )
-                key, value = token.split("=", 1)
-                if key in ("seconds", "prob"):
-                    kwargs[key] = float(value)
-                elif key in ("source", "dest", "tag", "rank", "rotation", "count", "op"):
-                    kwargs[key] = int(value)
-                else:
-                    raise ValueError(f"unknown fault parameter {key!r} in clause {clause!r}")
-            rules.append(FaultRule(kind, **kwargs))
-        return cls(seed=seed, rules=tuple(rules))
-
-    def to_spec(self) -> str:
-        """Inverse of :meth:`parse` (round-trips exactly)."""
-        clauses = [f"seed={self.seed}"]
-        clauses.extend(_rule_to_clause(r) for r in self.rules)
-        return "; ".join(clauses)
 
     # ------------------------------------------------------------------
     def kill_rotation(self, rank: int) -> int | None:
@@ -609,23 +559,13 @@ class CampaignFaultRule:
         return attempt == self.attempt and fnmatchcase(task_id, self.task)
 
 
-def _campaign_rule_to_clause(rule: CampaignFaultRule) -> str:
-    parts = [rule.kind, f"task={rule.task}"]
-    defaults = {f.name: f.default for f in fields(CampaignFaultRule)}
-    for name in ("attempt", "batch", "seconds"):
-        value = getattr(rule, name)
-        if value != defaults[name]:
-            parts.append(f"{name}={value}")
-    return " ".join(parts)
-
-
-@dataclass(frozen=True)
-class CampaignFaultPlan:
+class CampaignFaultPlan(SeededPlan):
     """A seeded, declarative chaos scenario over campaign coordinates.
 
     Build programmatically (:meth:`kill`, :meth:`stall`,
-    :meth:`corrupt_checkpoint`) or parse the same compact clause syntax
-    :class:`FaultPlan` uses::
+    :meth:`corrupt_checkpoint`) or parse the :mod:`repro.plan` clause
+    grammar :class:`FaultPlan` uses, whose keys here are
+    :class:`CampaignFaultRule`'s fields (``task=`` is required)::
 
         CampaignFaultPlan.parse(
             "seed=7; kill task=r0001/epix/fd batch=2; "
@@ -633,12 +573,8 @@ class CampaignFaultPlan:
         )
     """
 
-    seed: int = 0
-    rules: tuple[CampaignFaultRule, ...] = ()
-
-    def with_rule(self, rule: CampaignFaultRule) -> "CampaignFaultPlan":
-        """Return a copy of this plan with ``rule`` appended."""
-        return CampaignFaultPlan(seed=self.seed, rules=self.rules + (rule,))
+    rule = CampaignFaultRule
+    label = "campaign fault"
 
     def kill(self, task: str, batch: int, attempt: int = 1) -> "CampaignFaultPlan":
         """Kill matching tasks before stream batch ``batch`` on ``attempt``."""
@@ -657,50 +593,6 @@ class CampaignFaultPlan:
         return self.with_rule(
             CampaignFaultRule("corrupt_checkpoint", task=task, attempt=attempt)
         )
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def parse(cls, spec: str) -> "CampaignFaultPlan":
-        """Parse the compact ``seed=N; kind key=value ...`` spec syntax."""
-        seed = 0
-        rules: list[CampaignFaultRule] = []
-        for clause in spec.split(";"):
-            clause = clause.strip()
-            if not clause:
-                continue
-            tokens = clause.split()
-            if len(tokens) == 1 and tokens[0].startswith("seed="):
-                seed = int(tokens[0][len("seed="):])
-                continue
-            kind = tokens[0]
-            kwargs: dict[str, Any] = {}
-            for token in tokens[1:]:
-                if "=" not in token:
-                    raise ValueError(
-                        f"malformed campaign fault clause {clause!r}: "
-                        f"expected key=value, got {token!r}"
-                    )
-                key, value = token.split("=", 1)
-                if key == "task":
-                    kwargs[key] = value
-                elif key == "seconds":
-                    kwargs[key] = float(value)
-                elif key in ("attempt", "batch"):
-                    kwargs[key] = int(value)
-                else:
-                    raise ValueError(
-                        f"unknown campaign fault parameter {key!r} in clause {clause!r}"
-                    )
-            if "task" not in kwargs:
-                raise ValueError(f"campaign fault clause {clause!r} needs task=")
-            rules.append(CampaignFaultRule(kind, **kwargs))
-        return cls(seed=seed, rules=tuple(rules))
-
-    def to_spec(self) -> str:
-        """Inverse of :meth:`parse` (round-trips exactly)."""
-        clauses = [f"seed={self.seed}"]
-        clauses.extend(_campaign_rule_to_clause(r) for r in self.rules)
-        return "; ".join(clauses)
 
 
 class CampaignFaultInjector:

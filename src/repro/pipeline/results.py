@@ -6,6 +6,8 @@ The paper's deployment renders interactive Bokeh scatter plots of the
 - :func:`embedding_axis_correlations` — how strongly each embedding
   axis tracks a physical image statistic (the Fig. 5 claim is exactly
   "X-axis ↔ weight asymmetry, Y-axis ↔ circularity");
+- :func:`knn_decodability` — how well a statistic is read off each
+  point's embedding neighbours, for factors laid out along a curve;
 - :func:`ascii_density_map` — a terminal-renderable 2-D histogram of
   the embedding, optionally per-cluster;
 - :func:`export_embedding_csv` — dump coordinates + labels + any truth
@@ -21,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "embedding_axis_correlations",
+    "knn_decodability",
     "ascii_density_map",
     "export_embedding_csv",
 ]
@@ -74,6 +77,23 @@ def embedding_axis_correlations(
         else:
             out[name] = (cx, cy)
     return out
+
+
+def knn_decodability(embedding: np.ndarray, target: np.ndarray, k: int = 10) -> float:
+    """R² of predicting a statistic from each point's ``k`` embedding
+    neighbours — "can an operator read the factor off the map?".
+
+    UMAP preserves neighbourhoods, not linear axes; a factor the map
+    organizes along a *curved* direction scores low on Pearson axis
+    correlation (:func:`embedding_axis_correlations`) but high here.
+    """
+    from repro.embed.knn import knn_brute
+
+    idx, _ = knn_brute(embedding, k)
+    pred = target[idx].mean(axis=1)
+    ss_res = float(np.sum((target - pred) ** 2))
+    ss_tot = float(np.sum((target - target.mean()) ** 2))
+    return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
 
 
 def _pearson(a: np.ndarray, b: np.ndarray) -> float:

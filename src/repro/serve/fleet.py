@@ -23,7 +23,7 @@ Design invariants, each locked by tests:
   rebuild — paid-tier queries admitted before the kill are answered,
   not lost.  Dead shards are not re-replicated (replication degrades).
 - **everything replays.**  Kills come from a seeded declarative
-  :class:`FleetFaultPlan` (the ``CampaignFaultPlan`` clause grammar),
+  :class:`FleetFaultPlan` (the :mod:`repro.plan` clause grammar),
   time is a :class:`~repro.serve.admission.VirtualClock`, and the load
   generator (:class:`FleetReplay`) draws from seeded generators — the
   same spec yields the same report, shed-for-shed.
@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.arams import ARAMSConfig
+from repro.plan import SeededPlan
 from repro.serve.admission import (
     SHED_RATE_LIMITED,
     SHED_REASONS,
@@ -74,7 +75,7 @@ def _derived_seed(seed: int, key: str) -> int:
 
 
 # ----------------------------------------------------------------------
-# Seeded fault plan (CampaignFaultPlan clause grammar, fleet coordinates)
+# Seeded fault plan (the repro.plan clause grammar, fleet coordinates)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class FleetFaultRule:
@@ -92,12 +93,12 @@ class FleetFaultRule:
             raise ValueError(f"batch must be >= 0, got {self.batch}")
 
 
-@dataclass(frozen=True)
-class FleetFaultPlan:
+class FleetFaultPlan(SeededPlan):
     """A seeded, declarative chaos scenario over fleet coordinates.
 
-    Build programmatically (:meth:`kill`) or parse the compact clause
-    syntax shared with ``FaultPlan`` / ``CampaignFaultPlan``::
+    Build programmatically (:meth:`kill`) or parse the :mod:`repro.plan`
+    clause grammar shared with ``FaultPlan`` / ``CampaignFaultPlan``,
+    whose keys here are :class:`FleetFaultRule`'s (both required)::
 
         FleetFaultPlan.parse("seed=7; kill shard=shard-1 batch=4")
 
@@ -105,63 +106,16 @@ class FleetFaultPlan:
     report, byte for byte.
     """
 
-    seed: int = 0
-    rules: tuple[FleetFaultRule, ...] = ()
+    rule = FleetFaultRule
+    label = "fleet fault"
 
     def kill(self, shard: str, batch: int) -> "FleetFaultPlan":
         """Return a copy with a kill of ``shard`` before batch ``batch``."""
-        return FleetFaultPlan(
-            seed=self.seed, rules=self.rules + (FleetFaultRule("kill", shard, batch),)
-        )
+        return self.with_rule(FleetFaultRule("kill", shard, batch))
 
     def kills_at(self, batch: int) -> tuple[str, ...]:
         """Shards to kill before ingest batch ``batch``, in rule order."""
         return tuple(r.shard for r in self.rules if r.batch == batch)
-
-    @classmethod
-    def parse(cls, spec: str) -> "FleetFaultPlan":
-        """Parse the compact ``seed=N; kill shard=... batch=...`` syntax."""
-        seed = 0
-        rules: list[FleetFaultRule] = []
-        for clause in spec.split(";"):
-            clause = clause.strip()
-            if not clause:
-                continue
-            tokens = clause.split()
-            if len(tokens) == 1 and tokens[0].startswith("seed="):
-                seed = int(tokens[0][len("seed=") :])
-                continue
-            kind = tokens[0]
-            kwargs: dict = {}
-            for token in tokens[1:]:
-                if "=" not in token:
-                    raise ValueError(
-                        f"malformed fleet fault clause {clause!r}: "
-                        f"expected key=value, got {token!r}"
-                    )
-                key, value = token.split("=", 1)
-                if key == "shard":
-                    kwargs[key] = value
-                elif key == "batch":
-                    kwargs[key] = int(value)
-                else:
-                    raise ValueError(
-                        f"unknown fleet fault parameter {key!r} in clause {clause!r}"
-                    )
-            if "shard" not in kwargs or "batch" not in kwargs:
-                raise ValueError(
-                    f"fleet fault clause {clause!r} needs shard= and batch="
-                )
-            rules.append(FleetFaultRule(kind, **kwargs))
-        return cls(seed=seed, rules=tuple(rules))
-
-    def to_spec(self) -> str:
-        """Inverse of :meth:`parse` (round-trips exactly)."""
-        clauses = [f"seed={self.seed}"]
-        clauses.extend(
-            f"{r.kind} shard={r.shard} batch={r.batch}" for r in self.rules
-        )
-        return "; ".join(clauses)
 
 
 # ----------------------------------------------------------------------

@@ -141,29 +141,47 @@ class TestSharded:
 
 
 class TestQuality:
-    def test_beam_axes_track_physics(self, beam_images):
-        """Fig. 5's core claim at small scale: embedding axes correlate
-        with asymmetry and circularity."""
-        from repro.data.beam import measured_circularity
-        from repro.pipeline.results import embedding_axis_correlations
+    def test_beam_axes_track_physics(self):
+        """Fig. 5's core claim at small scale, over seeds 0-4: the map
+        orders shots by circularity along an axis, and by asymmetry
+        along a curved direction that kNN decodability reads.
 
-        images, truth = beam_images
-        res = make_pipe(umap={"n_epochs": 150, "n_neighbors": 15}).consume(
-            images
-        ).analyze()
-        corr = embedding_axis_correlations(
-            res.embedding,
-            {
-                "asymmetry": truth["asymmetry"],
-                "circularity": measured_circularity(images),
-            },
-            mask=~truth["exotic"],
-        )
-        # Thresholds are modest: this test runs at reduced resolution
-        # (32x32, 250 shots, 150 epochs); the Fig. 5 bench exercises the
-        # full-strength configuration and demands stronger correlations.
-        assert corr["asymmetry"][0] > 0.35
-        assert corr["circularity"][0] > 0.4
+        Asymmetry is scored the way the Fig. 5 bench scores it: R² of
+        predicting it from each shot's 10 embedding neighbours must
+        clear 0.2 and beat all of 20 permuted-target draws on every
+        seed.  At 1 BLAS thread, seeds 0-7 read R² 0.28-0.51 and the
+        permutation maxima at most 0.035 (EXPERIMENTS.md, Fig. 5).
+        """
+        from repro.data.beam import measured_circularity
+        from repro.pipeline.results import embedding_axis_correlations, knn_decodability
+
+        for seed in range(5):
+            images, truth = BeamProfileGenerator(
+                BeamProfileConfig(shape=(32, 32)), seed=seed
+            ).sample(250)
+            res = make_pipe(
+                seed=seed,
+                sketch=ARAMSConfig(ell=16, beta=0.9, epsilon=0.1, nu=4, seed=seed),
+                umap={"n_epochs": 150, "n_neighbors": 15},
+            ).consume(images).analyze()
+            zero_order = ~truth["exotic"]
+            corr = embedding_axis_correlations(
+                res.embedding,
+                {"circularity": measured_circularity(images)},
+                mask=zero_order,
+            )
+            assert corr["circularity"][0] > 0.4, seed
+
+            embedding = res.embedding[zero_order]
+            asymmetry = truth["asymmetry"][zero_order]
+            r2 = knn_decodability(embedding, asymmetry)
+            rng = np.random.default_rng(seed)
+            null = max(
+                knn_decodability(embedding, rng.permutation(asymmetry))
+                for _ in range(20)
+            )
+            assert r2 > 0.2, (seed, r2)
+            assert r2 > null, (seed, r2, null)
 
     def test_custom_preprocessor_honoured(self, beam_images):
         images, _ = beam_images
